@@ -238,8 +238,9 @@ fn compressed_representation_is_bit_identical_on_full_suite() {
     }
 }
 
-/// The cache-blocking segment size must never change results: segments
-/// only group destination chunks into tasks, and chunks inside a segment
+/// The task plan must never change results: the cache window
+/// (`segment_bytes`), the shard count and the pool size only decide how
+/// destination chunks are grouped into tasks, and chunks inside a task
 /// process in the same ascending order with unchanged per-chunk merge
 /// order. Referenced by the `ExecutionConfig::segment_bytes` docs.
 #[test]
@@ -248,27 +249,43 @@ fn segment_bytes_is_bit_identical() {
     let compressed = pl
         .with_representation(Representation::Compressed)
         .expect("power-law has sorted rows");
-    let config_with = |bytes: usize| SuiteConfig {
+    let config_with = |bytes: usize, shards: usize| SuiteConfig {
         exec: ExecutionConfig::with_max_iterations(40)
             .with_direction(DirectionMode::Auto)
-            .with_segment_bytes(bytes),
+            .with_segment_bytes(bytes)
+            .with_shards(shards),
         ..SuiteConfig::default()
     };
+    let pools: Vec<rayon::ThreadPool> = [1, 2, 8]
+        .into_iter()
+        .map(|threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+        })
+        .collect();
     for alg in [AlgorithmKind::Pr, AlgorithmKind::Sssp, AlgorithmKind::Cc] {
         for workload in [&pl, &compressed] {
-            // 0 clamps to one chunk per task; 1 MiB spans many chunks; the
-            // default sits between.
-            let digests: Vec<u64> = [0usize, 16 * 1024, 256 * 1024, 1024 * 1024]
-                .into_iter()
-                .map(|bytes| {
-                    run_algorithm_digest(alg, workload, &config_with(bytes))
-                        .unwrap_or_else(|e| panic!("{alg}: {e}"))
-                        .0
-                })
-                .collect();
+            let mut digests: Vec<u64> = Vec::new();
+            // The plan follows the pool size, so every window and shard
+            // count runs under every pool.
+            for pool in &pools {
+                for shards in [1usize, 2, 8] {
+                    // 0 clamps to one chunk per task; 1 MiB spans many
+                    // chunks; the default sits between.
+                    for bytes in [0usize, 16 * 1024, 256 * 1024, 1024 * 1024] {
+                        let config = config_with(bytes, shards);
+                        let (digest, _) = pool
+                            .install(|| run_algorithm_digest(alg, workload, &config))
+                            .unwrap_or_else(|e| panic!("{alg}: {e}"));
+                        digests.push(digest);
+                    }
+                }
+            }
             assert!(
                 digests.windows(2).all(|w| w[0] == w[1]),
-                "{alg}: segment size changed results: {digests:?}"
+                "{alg}: the task plan changed results: {digests:?}"
             );
         }
     }

@@ -102,6 +102,7 @@ fn journal_append_throughput(c: &mut Criterion) {
                     id,
                     outcome: "done".to_string(),
                     record: None,
+                    run_index: None,
                 })
                 .unwrap()
         })

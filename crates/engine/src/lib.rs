@@ -96,6 +96,7 @@ pub mod faultfs;
 pub mod program;
 pub mod soa;
 pub mod sync_engine;
+mod task_plan;
 pub mod trace;
 
 pub use async_engine::{async_run, AsyncConfig, AsyncStats, Scheduler};

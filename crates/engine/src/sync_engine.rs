@@ -39,7 +39,11 @@
 //!   exchange combines each destination chunk in parallel, always in the
 //!   same fixed order (source chunk ascending, then emission order), so
 //!   floating-point message reductions are bit-identical across thread
-//!   counts, the sequential fallback, and both frontier modes.
+//!   counts, the sequential fallback, and both frontier modes;
+//! * scatter, exchange and pull run as work-balanced tasks over runs of
+//!   consecutive chunks (`task_plan`), each borrowing its buffers from
+//!   run-lifetime scratch — the plan follows the pool size, the results
+//!   do not.
 //!
 //! Behavior counters (UPDATE/EREAD/MESSAGE, their remote variants, and
 //! `apply_ops`) are byte-for-byte identical between the sparse and dense
@@ -52,7 +56,7 @@
 //! directions ([`DirectionMode`]):
 //!
 //! * **Push** (the classic path): active vertices walk their out-edges,
-//!   emit messages into per-range outboxes, and a separate exchange pass
+//!   emit messages into per-task outboxes, and a separate exchange pass
 //!   merges the outboxes into the inbox. Cost tracks the frontier's summed
 //!   out-degree — ideal for sparse frontiers.
 //! * **Pull**: destination vertices walk their *in*-edges and evaluate the
@@ -79,6 +83,10 @@ use crate::checkpoint::{
 use crate::fault::{FaultPlan, FaultSite};
 use crate::program::{ActiveInit, ApplyInfo, EdgeSet, VertexProgram};
 use crate::soa::{SlotChunk, SlotTable};
+use crate::task_plan::{
+    dest_chunk_counts, into_tasks, pooled, select_chunks_mut, select_slot_chunks_mut, split_runs,
+    sum_tasks, ScatterScratch, TaskBounds,
+};
 use crate::trace::{DirectionChoice, IterationStats, RunTrace};
 use graphmine_graph::{chunk_edge_spans, Direction, Graph, VertexId};
 use rayon::prelude::*;
@@ -194,30 +202,29 @@ pub struct ExecutionConfig {
     /// [`FaultSite::CheckpointWrite`] before each checkpoint write; `None`
     /// (the default) costs one branch per boundary.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Cache-blocking granularity for the exchange and pull phases, in
-    /// bytes of destination inbox state per task. Destination chunks are
-    /// grouped into segments of roughly this many inbox bytes and each
-    /// segment is processed by one task, chunks ascending — so a task's
-    /// writes stay inside an L2-sized window instead of striding the whole
-    /// inbox. Like the frontier and direction knobs this **never changes
-    /// results**: per destination chunk the merge order is fixed by the
-    /// outbox walk, and chunks are independent, so any segment size yields
-    /// bit-identical state (see `segment_bytes_is_bit_identical`). The
-    /// default (256 KiB) targets common per-core L2 capacities.
+    /// Cache window of the exchange and pull phases: the most inbox state,
+    /// in bytes, one task's destination chunks may span, so a task's writes
+    /// stay inside an L2-sized window instead of striding the whole inbox.
+    /// It is an *upper* bound — within it the task plan cuts tasks by work
+    /// (see `task_plan`). Like the frontier and direction knobs this
+    /// **never changes results**: per destination chunk the merge order is
+    /// fixed by the outbox walk, and chunks are independent, so any window
+    /// and any plan yield bit-identical state (see
+    /// `segment_bytes_is_bit_identical`). The default (256 KiB) targets
+    /// common per-core L2 capacities.
     pub segment_bytes: usize,
-    /// Shard-per-core execution: partition the destination chunk space
-    /// into this many contiguous shards. `0` or `1` (the default) runs
-    /// unsharded. When ≥ 2, (a) scatter tasks are grouped per source
-    /// shard, so each shard fills exactly one outbox (per-shard scratch)
-    /// walking its chunks ascending, and (b) exchange/pull segments never
-    /// straddle a shard boundary, so every inbox chunk is written by
-    /// exactly one shard's task. Like `segment_bytes` this **never
-    /// changes results**: per destination chunk the combine order (source
-    /// chunk ascending, emission order within) is exactly the order a
-    /// single-shard merge uses, so any shard count yields bit-identical
-    /// state (see the `sharded identity` suites). Cross-shard traffic is
-    /// accounted by pairing this with [`ExecutionConfig::partition`] set
-    /// to the shard map — see `graphmine-shard`.
+    /// Shard-per-core execution: partition the chunk space into this many
+    /// contiguous shards. `0` or `1` (the default) runs unsharded. When
+    /// ≥ 2, no task of the scatter, exchange or pull phase holds chunks of
+    /// two shards: every outbox is filled by one source shard walking its
+    /// chunks ascending, and every inbox chunk is written by exactly one
+    /// shard's task. Like `segment_bytes` this **never changes results**:
+    /// per destination chunk the combine order (source chunk ascending,
+    /// emission order within) is exactly the order a single-shard merge
+    /// uses, so any shard count yields bit-identical state (see the
+    /// `sharded identity` suites). Cross-shard traffic is accounted by
+    /// pairing this with [`ExecutionConfig::partition`] set to the shard
+    /// map — see `graphmine-shard`.
     pub num_shards: usize,
 }
 
@@ -296,8 +303,8 @@ impl ExecutionConfig {
         self
     }
 
-    /// Set the exchange/pull cache-blocking granularity (bytes of inbox
-    /// state per task). `0` is clamped to one chunk per task.
+    /// Set the exchange/pull cache window (most bytes of inbox state per
+    /// task). `0` is clamped to one chunk per task.
     pub fn with_segment_bytes(mut self, bytes: usize) -> ExecutionConfig {
         self.segment_bytes = bytes;
         self
@@ -494,116 +501,30 @@ impl FrontierSet {
     }
 }
 
-/// [`select_chunks_mut`] over both planes of a [`SlotTable`], zipped back
-/// into per-chunk [`SlotChunk`] views.
-fn select_slot_chunks_mut<'a, T: Default>(
-    table: &'a mut SlotTable<T>,
-    cs: usize,
-    ids: impl IntoIterator<Item = usize> + Clone,
-) -> Vec<SlotChunk<'a, T>> {
-    let present = select_chunks_mut(&mut table.present, cs, ids.clone());
-    let values = select_chunks_mut(&mut table.values, cs, ids);
-    present
-        .into_iter()
-        .zip(values)
-        .map(|(p, v)| SlotChunk::from_planes(p, v))
-        .collect()
+/// The adjacency directions an [`EdgeSet`] visits, in visiting order.
+fn edge_dirs(set: EdgeSet, directed: bool) -> &'static [Direction] {
+    match set {
+        EdgeSet::None => &[],
+        EdgeSet::In => &[Direction::In],
+        EdgeSet::Out => &[Direction::Out],
+        EdgeSet::Both if directed => &[Direction::Out, Direction::In],
+        EdgeSet::Both => &[Direction::Out],
+    }
 }
 
-/// Group ascending `(chunk_index, item)` pairs into cache-sized segments:
-/// chunks whose indices share `ci / seg_chunks` land in one segment, to be
-/// processed by a single task in ascending order. A segment additionally
-/// never crosses a shard boundary (`ci / shard_chunks`), so under sharded
-/// execution every inbox chunk is owned by exactly one shard's task
-/// (`usize::MAX` disables the bound). Segmentation only groups work —
-/// per-chunk processing order is untouched, so results are bit-identical
-/// for every `seg_chunks` and every shard count.
-fn segment_chunks<T>(
-    chunks: Vec<(usize, T)>,
-    seg_chunks: usize,
-    shard_chunks: usize,
-) -> Vec<Vec<(usize, T)>> {
-    let mut segments: Vec<Vec<(usize, T)>> = Vec::new();
-    for (ci, item) in chunks {
-        match segments.last_mut() {
-            Some(seg)
-                if seg[0].0 / seg_chunks == ci / seg_chunks
-                    && seg[0].0 / shard_chunks == ci / shard_chunks =>
-            {
-                seg.push((ci, item))
-            }
-            _ => segments.push(vec![(ci, item)]),
-        }
-    }
-    segments
-}
-
-/// Pair each ascending chunk index in `ids` with its mutable chunk of
-/// `data`. One forward pass over the chunk iterator — O(num_chunks) pointer
-/// arithmetic, no allocation beyond the output.
-fn select_chunks_mut<T>(
-    data: &mut [T],
-    cs: usize,
-    ids: impl IntoIterator<Item = usize>,
-) -> Vec<&mut [T]> {
-    let mut out = Vec::new();
-    let mut chunks = data.chunks_mut(cs);
-    let mut next = 0usize;
-    for ci in ids {
-        let chunk = chunks.nth(ci - next).expect("chunk index out of range");
-        next = ci + 1;
-        out.push(chunk);
-    }
-    out
-}
-
-/// One source range's scattered messages, grouped by destination chunk so
-/// the exchange can hand each destination chunk its slice directly.
-struct RangeOutbox<M> {
-    /// Stably sorted by destination chunk: within a chunk, emission order
-    /// (source vertex ascending, then edge order) is preserved.
-    msgs: Vec<(VertexId, M)>,
-    /// `(dest_chunk, start, end)` into `msgs`, ascending by `dest_chunk`.
-    groups: Vec<(usize, usize, usize)>,
-}
-
-/// Group `msgs` by destination chunk, preserving emission order within each
-/// chunk (this order is part of the determinism contract).
-///
-/// Binning instead of sorting: one pass drops each message into its
-/// destination chunk's bin (pushes keep emission order — same guarantee a
-/// stable sort gives, at O(msgs + chunk_range) instead of
-/// O(msgs log msgs)), a second pass concatenates the bins ascending. The
-/// bin table spans only the range of chunks this outbox actually targets.
-fn bucket_by_dest_chunk<M>(msgs: Vec<(VertexId, M)>, cs: usize) -> RangeOutbox<M> {
-    if msgs.is_empty() {
-        return RangeOutbox {
-            msgs,
-            groups: Vec::new(),
-        };
-    }
-    let mut lo = usize::MAX;
-    let mut hi = 0usize;
-    for &(target, _) in &msgs {
-        let c = target as usize / cs;
-        lo = lo.min(c);
-        hi = hi.max(c);
-    }
-    let mut bins: Vec<Vec<(VertexId, M)>> = (0..hi - lo + 1).map(|_| Vec::new()).collect();
-    for (target, msg) in msgs {
-        bins[target as usize / cs - lo].push((target, msg));
-    }
-    let mut out = Vec::new();
-    let mut groups = Vec::new();
-    for (i, bin) in bins.into_iter().enumerate() {
-        if bin.is_empty() {
-            continue;
-        }
-        let start = out.len();
-        out.extend(bin);
-        groups.push((lo + i, start, out.len()));
-    }
-    RangeOutbox { msgs: out, groups }
+/// What the scatter phase's task plan is computed from, fixed for a run.
+struct ScatterGeometry {
+    /// Vertex range of every chunk.
+    ranges: Vec<(usize, usize)>,
+    /// In-edge slots per chunk: the pull path's work per destination chunk,
+    /// and what lets it skip in-slot-free chunks in O(1) each.
+    in_spans: Vec<u64>,
+    /// Scatter-direction edge slots per chunk: the dense push path's work
+    /// per source chunk.
+    push_spans: Vec<u64>,
+    /// Cache window, shard boundary and pool size bounding every task that
+    /// writes inbox slots.
+    dest_bounds: TaskBounds,
 }
 
 /// A deserialized iteration boundary handed to [`SyncEngine::run_core`] to
@@ -728,12 +649,9 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
 
         let cs = chunk_size(n);
         let always_active = self.program.always_active();
-        // Direction cost-model inputs, computed once per run: the
-        // out-direction prefix-degree index (borrowed from the CSR, no
-        // copy) and the cached per-chunk in-edge spans that let the pull
-        // path skip in-slot-free chunks in O(1) each.
+        // The direction cost model's input, borrowed from the CSR: the
+        // out-direction prefix-degree index.
         let out_prefix: &[u64] = self.graph.degree_prefix(Direction::Out);
-        let in_spans: Vec<u64> = chunk_edge_spans(self.graph, Direction::In, cs);
         let mut frontier = FrontierSet::new(n, cs, config.frontier_mode);
         let mut inbox: SlotTable<P::Message> = SlotTable::new(n);
 
@@ -768,6 +686,35 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
             .step_by(cs)
             .map(|start| (start, (start + cs).min(n)))
             .collect();
+        let mut push_spans = vec![0u64; ranges.len()];
+        for &dir in edge_dirs(self.program.scatter_edges(), self.graph.is_directed()) {
+            for (sum, span) in push_spans
+                .iter_mut()
+                .zip(chunk_edge_spans(self.graph, dir, cs))
+            {
+                *sum += span;
+            }
+        }
+        let geometry = ScatterGeometry {
+            in_spans: chunk_edge_spans(self.graph, Direction::In, cs),
+            push_spans,
+            // One inbox slot costs the message payload plus its presence
+            // byte.
+            dest_bounds: TaskBounds::new(
+                cs,
+                std::mem::size_of::<P::Message>() + 1,
+                config.segment_bytes,
+                ranges.len(),
+                config.num_shards,
+                if config.sequential {
+                    1
+                } else {
+                    rayon::current_num_threads()
+                },
+            ),
+            ranges,
+        };
+        let mut scratch: ScatterScratch<P::Message> = ScatterScratch::default();
         let mut accums: SlotTable<P::Accum> = SlotTable::new(n);
         let mut next_states = self.states.clone();
         let mut pending = PendingSync::Clean;
@@ -792,10 +739,10 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
             let (stats, next_frontier) = self.iteration(
                 config,
                 &frontier,
-                &ranges,
-                &in_spans,
+                &geometry,
                 &mut accums,
                 &mut inbox,
+                &mut scratch,
                 &mut next_states,
                 &pending,
                 !always_active,
@@ -846,10 +793,10 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
         &self,
         config: &ExecutionConfig,
         frontier: &FrontierSet,
-        ranges: &[(usize, usize)],
-        in_spans: &[u64],
+        geometry: &ScatterGeometry,
         accums: &mut SlotTable<P::Accum>,
         inbox: &mut SlotTable<P::Message>,
+        scratch: &mut ScatterScratch<P::Message>,
         next_states: &mut [P::State],
         pending: &PendingSync,
         track_receivers: bool,
@@ -864,21 +811,6 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
         let active = &frontier.bitmap;
         let sparse = frontier.sparse;
         let active_count = frontier.count as u64;
-        // Destination chunks per cache-blocked exchange/pull segment: one
-        // inbox slot costs the message payload plus its presence byte.
-        let slot_bytes = std::mem::size_of::<P::Message>() + 1;
-        let seg_chunks = (config.segment_bytes / (cs * slot_bytes).max(1)).max(1);
-        // Shard geometry: `shard_chunks` contiguous chunks per shard. A
-        // shard count above the chunk count degenerates to one chunk per
-        // shard; 0/1 shards disable the boundary entirely.
-        let num_chunks = n.div_ceil(cs);
-        let shard_chunks = if config.num_shards >= 2 {
-            num_chunks.div_ceil(config.num_shards.min(num_chunks))
-        } else {
-            usize::MAX
-        };
-        let sharded = config.num_shards >= 2;
-
         let sum2 = |a: (u64, u64), b: (u64, u64)| (a.0 + b.0, a.1 + b.1);
 
         // ---- Gather ----
@@ -887,14 +819,10 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
         let gather_dir = program.gather_edges();
         let mut edge_reads: u64 = 0;
         let mut remote_edge_reads: u64 = 0;
+        let gather_dirs = edge_dirs(gather_dir, graph.is_directed());
         // Rows prefetched one vertex ahead target the first direction a
         // gather/scatter visits.
-        let lead_dir = |set: EdgeSet| match set {
-            EdgeSet::In => Direction::In,
-            _ => Direction::Out,
-        };
-        if gather_dir != EdgeSet::None {
-            let gather_pf = lead_dir(gather_dir);
+        if let Some(&gather_pf) = gather_dirs.first() {
             // Each parallel task owns a reusable row buffer: compressed
             // rows batch-decode into it (guard-elided, see
             // `graphmine_graph::varint::decode_row_into`), plain rows
@@ -932,16 +860,8 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                         }
                     }
                 };
-                match gather_dir {
-                    EdgeSet::In => visit(Direction::In, row),
-                    EdgeSet::Out => visit(Direction::Out, row),
-                    EdgeSet::Both => {
-                        visit(Direction::Out, row);
-                        if graph.is_directed() {
-                            visit(Direction::In, row);
-                        }
-                    }
-                    EdgeSet::None => {}
+                for &dir in gather_dirs {
+                    visit(dir, row);
                 }
                 acc
             };
@@ -1180,6 +1100,7 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
         // (in-row order) provably equals push's (sorted rows + commutative
         // combine). Forced Pull trusts the caller.
         let scatter_dir = program.scatter_edges();
+        let scatter_dirs = edge_dirs(scatter_dir, graph.is_directed());
         let use_pull = scatter_dir == EdgeSet::Out
             && match config.direction {
                 DirectionMode::Push => false,
@@ -1192,12 +1113,16 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
             };
 
         // ---- Scatter + Exchange ----
+        // Both directions run as work-balanced tasks over consecutive
+        // chunks (see `task_plan`): chunks inside a task run ascending with
+        // the per-chunk combine order untouched, so results are
+        // bit-identical for every plan. Each task borrows its row and hit
+        // buffers from run-lifetime scratch.
         let scatter_t0 = Instant::now();
         let next_states_ref: &[P::State] = next_states;
-        let mut messages: u64 = 0;
-        let mut remote_messages: u64 = 0;
-        let mut push_edge_traversals: u64 = 0;
-        let mut pull_edge_traversals: u64 = 0;
+        let dest_bounds = geometry.dest_bounds;
+        // [messages, remote messages, edge traversals].
+        let mut sent = [0u64; 3];
         let mut receivers: Vec<VertexId> = Vec::new();
         if use_pull {
             // Pull: each destination chunk walks its vertices' in-edges,
@@ -1206,26 +1131,20 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
             // exchange fused, no outboxes, no bucketing sort. In-rows list
             // sources ascending on deduplicated builds, so per destination
             // this is byte-for-byte the push exchange's combine order.
-            // Chunks with no in-slots are skipped via the cached spans, and
-            // the surviving chunks are grouped into cache-sized segments —
-            // one task walks its segment's chunks ascending, so its inbox
-            // writes stay inside an L2-sized window.
+            // Chunks with no in-slots are skipped via the cached spans,
+            // which are also each chunk's weight in the plan.
+            let in_spans = &geometry.in_spans;
             let chunks: Vec<(usize, SlotChunk<'_, P::Message>)> = inbox
                 .chunks_mut(cs)
                 .enumerate()
                 .filter(|&(ci, _)| in_spans[ci] > 0)
                 .collect();
-            let items = segment_chunks(chunks, seg_chunks, shard_chunks);
-            type PullResult = (Vec<VertexId>, u64, u64, u64);
-            let per_segment = |seg: Vec<(usize, SlotChunk<'_, P::Message>)>| -> PullResult {
-                let mut hits: Vec<VertexId> = Vec::new();
-                // Per-task row buffer for the batch row decode
-                // of compressed in-rows (plain in-rows bypass it).
-                let mut row: Vec<VertexId> = Vec::new();
-                let mut count = 0u64;
-                let mut remote = 0u64;
-                let mut visited = 0u64;
-                for (ci, mut chunk) in seg {
+            let tasks = into_tasks(chunks, |ci, _| in_spans[ci], dest_bounds);
+            let bufs = pooled(&mut scratch.bufs, tasks.len());
+            let work: Vec<_> = tasks.into_iter().zip(bufs.iter_mut()).collect();
+            sent = sum_tasks(config.sequential, work, |(task, buf)| {
+                let mut sent = [0u64; 3];
+                for (ci, mut chunk) in task {
                     let base = ci * cs;
                     for off in 0..chunk.len() {
                         let v = (base + off) as VertexId;
@@ -1240,8 +1159,8 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                         // in-row order), so results stay bit-identical.
                         let mut acc: Option<P::Message> = chunk.take(off);
                         let had_prior = acc.is_some();
-                        let (eids, nbrs) = graph.incident_row(v, Direction::In, &mut row);
-                        visited += eids.len() as u64;
+                        let (eids, nbrs) = graph.incident_row(v, Direction::In, &mut buf.row);
+                        sent[2] += eids.len() as u64;
                         for (&e, &u) in eids.iter().zip(nbrs) {
                             if !active[u as usize] {
                                 continue;
@@ -1256,10 +1175,10 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                                 &edge_data[e as usize],
                                 global,
                             ) {
-                                count += 1;
+                                sent[0] += 1;
                                 if let Some(p) = partition {
                                     if p[u as usize] != p[v as usize] {
-                                        remote += 1;
+                                        sent[1] += 1;
                                     }
                                 }
                                 match acc.as_mut() {
@@ -1270,42 +1189,30 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                         }
                         if acc.is_some() {
                             if !had_prior && track_receivers {
-                                hits.push(v);
+                                buf.hits.push(v);
                             }
                             chunk.set_opt(off, acc);
                         }
                     }
                 }
-                (hits, count, remote, visited)
-            };
-            let collected: Vec<PullResult> = if config.sequential {
-                items.into_iter().map(per_segment).collect()
-            } else {
-                items.into_par_iter().map(per_segment).collect()
-            };
-            // Chunks ascend and each chunk's hits ascend, so the receiver
-            // list comes out sorted without a final sort.
-            for (hits, count, remote, visited) in collected {
-                receivers.extend(hits);
-                messages += count;
-                remote_messages += remote;
-                pull_edge_traversals += visited;
+                sent
+            });
+            // Tasks ascend, their chunks ascend and each chunk's hits
+            // ascend, so the receiver list comes out sorted without a sort.
+            for buf in bufs {
+                receivers.append(&mut buf.hits);
             }
-        } else if scatter_dir != EdgeSet::None {
-            // Push: active vertices emit into per-range outboxes, then the
-            // exchange merges them into the inbox.
-            let mut outboxes: Vec<RangeOutbox<P::Message>> = Vec::new();
-            let scatter_pf = lead_dir(scatter_dir);
+        } else if let Some(&scatter_pf) = scatter_dirs.first() {
+            // Push: active vertices emit into their task's outbox, then the
+            // exchange merges the outboxes into the inbox.
             let scatter_one = |v: VertexId,
                                row: &mut Vec<VertexId>,
                                out: &mut Vec<(VertexId, P::Message)>,
-                               count: &mut u64,
-                               remote: &mut u64,
-                               visited: &mut u64| {
+                               sent: &mut [u64; 3]| {
                 let v_state = &next_states_ref[v as usize];
-                let mut visit = |dir: Direction, row: &mut Vec<VertexId>| {
+                for &dir in scatter_dirs {
                     let (eids, nbrs) = graph.incident_row(v, dir, row);
-                    *visited += eids.len() as u64;
+                    sent[2] += eids.len() as u64;
                     for (&e, &nbr) in eids.iter().zip(nbrs) {
                         if let Some(msg) = program.scatter(
                             graph,
@@ -1317,174 +1224,142 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                             &edge_data[e as usize],
                             global,
                         ) {
-                            *count += 1;
+                            sent[0] += 1;
                             if let Some(p) = partition {
                                 if p[v as usize] != p[nbr as usize] {
-                                    *remote += 1;
+                                    sent[1] += 1;
                                 }
                             }
                             out.push((nbr, msg));
                         }
                     }
-                };
-                match scatter_dir {
-                    EdgeSet::In => visit(Direction::In, row),
-                    EdgeSet::Out => visit(Direction::Out, row),
-                    EdgeSet::Both => {
-                        visit(Direction::Out, row);
-                        if graph.is_directed() {
-                            visit(Direction::In, row);
-                        }
-                    }
-                    EdgeSet::None => {}
                 }
             };
-            type PushResult<M> = (RangeOutbox<M>, u64, u64, u64);
-            // Per-shard scratch: under sharded execution all of a source
-            // shard's chunks fill ONE outbox, walked ascending — the
-            // flattened emission order per destination chunk is identical
-            // to walking one outbox per source chunk in ascending order,
-            // so the exchange's combine order (and every result bit) is
-            // unchanged. Unsharded keeps today's one-task-per-chunk shape
-            // (a shard span of one chunk).
-            let scatter_span = if sharded { shard_chunks } else { 1 };
-            let collected: Vec<PushResult<P::Message>> = if sparse {
-                let items: Vec<(usize, (usize, usize))> = frontier
+            // Source tasks: runs of source chunks weighing about the same
+            // in edges to visit — the listed vertices' degrees when sparse,
+            // the chunk's whole edge span when dense. All of a task's
+            // chunks fill ONE outbox, walked ascending, so the flattened
+            // emission order per destination chunk is identical to walking
+            // one outbox per source chunk in ascending order and the
+            // exchange's combine order (and every result bit) is the same
+            // for every grouping. A source task reads its chunks but writes
+            // no inbox slot, so only the shard boundary bounds it.
+            let prefixes: Vec<&[u64]> = scatter_dirs
+                .iter()
+                .map(|&dir| graph.degree_prefix(dir))
+                .collect();
+            let degree = |v: VertexId| -> u64 {
+                prefixes
+                    .iter()
+                    .map(|p| p[v as usize + 1] - p[v as usize])
+                    .sum()
+            };
+            // `(chunk, (lo, hi))`: a range of `frontier.list` when sparse,
+            // the chunk's vertex range when dense.
+            let items: Vec<(usize, (usize, usize))> = if sparse {
+                frontier
                     .chunks
                     .iter()
                     .map(|&(ci, lo, hi)| (ci, (lo, hi)))
-                    .collect();
-                let groups = segment_chunks(items, scatter_span, usize::MAX);
-                let per_group = |group: Vec<(usize, (usize, usize))>| {
-                    let mut out = Vec::new();
-                    let mut row: Vec<VertexId> = Vec::new();
-                    let mut count = 0u64;
-                    let mut remote = 0u64;
-                    let mut visited = 0u64;
-                    for &(_, (lo, hi)) in &group {
+                    .collect()
+            } else {
+                geometry.ranges.iter().copied().enumerate().collect()
+            };
+            let tasks = into_tasks(
+                items,
+                |ci, &(lo, hi)| {
+                    if sparse {
+                        frontier.list[lo..hi].iter().map(|&v| degree(v)).sum()
+                    } else {
+                        geometry.push_spans[ci]
+                    }
+                },
+                dest_bounds.without_window(),
+            );
+            let bufs = pooled(&mut scratch.bufs, tasks.len());
+            let outboxes = pooled(&mut scratch.outboxes, tasks.len());
+            let work: Vec<_> = tasks
+                .into_iter()
+                .zip(bufs.iter_mut().zip(outboxes.iter_mut()))
+                .collect();
+            sent = sum_tasks(config.sequential, work, |(task, (buf, outbox))| {
+                let mut sent = [0u64; 3];
+                let out = outbox.begin();
+                for &(_, (lo, hi)) in &task {
+                    if sparse {
                         let verts = &frontier.list[lo..hi];
                         for (i, &v) in verts.iter().enumerate() {
                             if let Some(&nv) = verts.get(i + 1) {
                                 graph.prefetch_row(nv, scatter_pf);
                             }
-                            scatter_one(
-                                v,
-                                &mut row,
-                                &mut out,
-                                &mut count,
-                                &mut remote,
-                                &mut visited,
-                            );
+                            scatter_one(v, &mut buf.row, out, &mut sent);
                         }
-                    }
-                    (bucket_by_dest_chunk(out, cs), count, remote, visited)
-                };
-                if config.sequential {
-                    groups.into_iter().map(per_group).collect()
-                } else {
-                    groups.into_par_iter().map(per_group).collect()
-                }
-            } else {
-                let items: Vec<(usize, (usize, usize))> =
-                    ranges.iter().copied().enumerate().collect();
-                let groups = segment_chunks(items, scatter_span, usize::MAX);
-                let per_group = |group: Vec<(usize, (usize, usize))>| {
-                    let mut out = Vec::new();
-                    let mut row: Vec<VertexId> = Vec::new();
-                    let mut count = 0u64;
-                    let mut remote = 0u64;
-                    let mut visited = 0u64;
-                    for &(_, (start, end)) in &group {
-                        for (i, &is_active) in active[start..end].iter().enumerate() {
+                    } else {
+                        for (i, &is_active) in active[lo..hi].iter().enumerate() {
                             if is_active {
-                                let v = (start + i) as VertexId;
+                                let v = (lo + i) as VertexId;
                                 graph.prefetch_row(v + 1, scatter_pf);
-                                scatter_one(
-                                    v,
-                                    &mut row,
-                                    &mut out,
-                                    &mut count,
-                                    &mut remote,
-                                    &mut visited,
-                                );
+                                scatter_one(v, &mut buf.row, out, &mut sent);
                             }
                         }
                     }
-                    (bucket_by_dest_chunk(out, cs), count, remote, visited)
-                };
-                if config.sequential {
-                    groups.into_iter().map(per_group).collect()
-                } else {
-                    groups.into_par_iter().map(per_group).collect()
                 }
-            };
-            outboxes.reserve(collected.len());
-            for (out, count, remote, visited) in collected {
-                messages += count;
-                remote_messages += remote;
-                push_edge_traversals += visited;
-                outboxes.push(out);
-            }
+                outbox.bucket(cs);
+                sent
+            });
 
             // Exchange: combine messages into the inbox. Apply drained
             // every delivered message above, so the inbox is all-empty here
-            // — no O(|V|) clear. Destination chunks are grouped into
-            // cache-sized segments; within a segment one task merges its
-            // chunks ascending, each chunk walking the source outboxes in
-            // ascending chunk order and each group in emission order: the
+            // — no O(|V|) clear. Destination tasks are planned over the
+            // chunks that received anything, weighted by how much; each
+            // owns its messages (one run per outbox, split off in place)
+            // and merges its chunks ascending, each chunk walking the
+            // outboxes in source order and each run in emission order: the
             // exact combine order a single-threaded merge of the
-            // un-bucketed outboxes would use, for any segment size.
-            if outboxes.iter().any(|ob| !ob.msgs.is_empty()) {
-                let mut dest_chunks: Vec<usize> = outboxes
-                    .iter()
-                    .flat_map(|ob| ob.groups.iter().map(|g| g.0))
+            // un-bucketed outboxes would use, for any plan.
+            let (first, counts) = dest_chunk_counts(outboxes);
+            if !counts.is_empty() {
+                let ids = || (first..).zip(&counts).filter(|c| *c.1 > 0).map(|c| c.0);
+                let chunks: Vec<(usize, SlotChunk<'_, P::Message>)> = ids()
+                    .zip(select_slot_chunks_mut(inbox, cs, ids()))
                     .collect();
-                dest_chunks.sort_unstable();
-                dest_chunks.dedup();
-                let outboxes_ref = &outboxes;
-                let chunks: Vec<(usize, SlotChunk<'_, P::Message>)> = dest_chunks
-                    .iter()
-                    .copied()
-                    .zip(select_slot_chunks_mut(
-                        inbox,
-                        cs,
-                        dest_chunks.iter().copied(),
-                    ))
+                let tasks = into_tasks(chunks, |ci, _| counts[ci - first], dest_bounds);
+                let last_chunks: Vec<usize> = tasks.iter().map(|t| t[t.len() - 1].0).collect();
+                let num_outboxes = outboxes.len();
+                let mut runs = split_runs(outboxes, &last_chunks);
+                let bufs = pooled(&mut scratch.bufs, tasks.len());
+                let work: Vec<_> = tasks
+                    .into_iter()
+                    .zip(runs.chunks_mut(num_outboxes))
+                    .zip(bufs.iter_mut())
                     .collect();
-                let items = segment_chunks(chunks, seg_chunks, shard_chunks);
-                let merge_segment =
-                    |seg: Vec<(usize, SlotChunk<'_, P::Message>)>| -> Vec<VertexId> {
-                        let mut all_hits: Vec<VertexId> = Vec::new();
-                        for (ci, mut chunk) in seg {
-                            let base = ci * cs;
-                            let mut hits: Vec<VertexId> = Vec::new();
-                            for ob in outboxes_ref {
-                                if let Ok(gi) = ob.groups.binary_search_by_key(&ci, |g| g.0) {
-                                    let (_, start, end) = ob.groups[gi];
-                                    for (target, msg) in &ob.msgs[start..end] {
-                                        let off = *target as usize - base;
-                                        let inserted =
-                                            chunk.merge_or_insert(off, msg.clone(), |a, b| {
-                                                program.combine(a, b)
-                                            });
-                                        if inserted && track_receivers {
-                                            hits.push(*target);
-                                        }
-                                    }
+                sum_tasks(config.sequential, work, |((task, runs), buf)| {
+                    for (ci, mut chunk) in task {
+                        let base = ci * cs;
+                        let first_hit = buf.hits.len();
+                        for run in runs.iter_mut() {
+                            // Runs are sorted by destination chunk and the
+                            // earlier chunks' messages are already gone.
+                            let here = run.partition_point(|m| (m.0 as usize) < base + chunk.len());
+                            let (msgs, rest) = std::mem::take(run).split_at_mut(here);
+                            *run = rest;
+                            for (target, msg) in msgs {
+                                let inserted = chunk.merge_or_insert(
+                                    *target as usize - base,
+                                    std::mem::take(msg),
+                                    |a, b| program.combine(a, b),
+                                );
+                                if inserted && track_receivers {
+                                    buf.hits.push(*target);
                                 }
                             }
-                            hits.sort_unstable();
-                            all_hits.extend(hits);
                         }
-                        all_hits
-                    };
-                let per_segment_receivers: Vec<Vec<VertexId>> = if config.sequential {
-                    items.into_iter().map(merge_segment).collect()
-                } else {
-                    items.into_par_iter().map(merge_segment).collect()
-                };
-                for r in per_segment_receivers {
-                    receivers.extend(r);
+                        buf.hits[first_hit..].sort_unstable();
+                    }
+                    [0; 3]
+                });
+                for buf in bufs {
+                    receivers.append(&mut buf.hits);
                 }
             }
         }
@@ -1494,11 +1369,11 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
             active: active_count,
             updates: active_count,
             edge_reads,
-            messages,
+            messages: sent[0],
             apply_ns,
             apply_ops,
             remote_edge_reads,
-            remote_messages,
+            remote_messages: sent[1],
             frontier_density: active_count as f64 / n as f64,
             gather_ns,
             scatter_ns,
@@ -1507,8 +1382,8 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
             } else {
                 DirectionChoice::Push
             },
-            push_edge_traversals,
-            pull_edge_traversals,
+            push_edge_traversals: if use_pull { 0 } else { sent[2] },
+            pull_edge_traversals: if use_pull { sent[2] } else { 0 },
         };
         (stats, receivers)
     }

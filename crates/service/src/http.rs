@@ -223,7 +223,11 @@ fn reason_phrase(status: u16) -> &'static str {
 
 /// Write a JSON response and flush. Closes the connection from the
 /// protocol's point of view (`Connection: close`).
-pub fn write_json(stream: &mut TcpStream, status: u16, body: &serde_json::Value) -> io::Result<()> {
+pub fn write_json(
+    stream: &mut impl Write,
+    status: u16,
+    body: &serde_json::Value,
+) -> io::Result<()> {
     write_response(stream, status, body, None, false)
 }
 
@@ -231,7 +235,7 @@ pub fn write_json(stream: &mut TcpStream, status: u16, body: &serde_json::Value)
 /// by admission control's 429 responses to tell clients when the queue is
 /// expected to have drained.
 pub fn write_json_with_retry_after(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     body: &serde_json::Value,
     retry_after_s: Option<u64>,
@@ -242,8 +246,12 @@ pub fn write_json_with_retry_after(
 /// The full response writer: JSON body, optional `Retry-After`, and the
 /// connection disposition — `keep_alive` echoes the client's opt-in so it
 /// knows the socket remains usable.
+///
+/// Head and payload leave in ONE write: written separately, the payload
+/// sits behind Nagle's algorithm until the client acknowledges the head,
+/// and a client with delayed ACKs pays ≈ 40 ms per keep-alive exchange.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     body: &serde_json::Value,
     retry_after_s: Option<u64>,
@@ -254,7 +262,7 @@ pub fn write_response(
         .map(|s| format!("Retry-After: {s}\r\n"))
         .unwrap_or_default();
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
+    let mut response = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n{}Connection: {}\r\n\r\n",
         status,
         reason_phrase(status),
@@ -262,8 +270,8 @@ pub fn write_response(
         retry,
         connection
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload.as_bytes())?;
+    response.push_str(&payload);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -422,6 +430,38 @@ mod tests {
         );
         assert!(raw.contains("Retry-After: 7\r\n"), "{raw}");
         assert!(raw.ends_with("{\"error\":\"queue full\"}"), "{raw}");
+    }
+
+    #[test]
+    fn a_response_leaves_in_a_single_write() {
+        /// Records every `write` call it receives.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut sink = Writes(Vec::new());
+        write_response(
+            &mut sink,
+            200,
+            &serde_json::json!({"id": 7, "state": "queued"}),
+            Some(3),
+            true,
+        )
+        .unwrap();
+        assert_eq!(sink.0.len(), 1, "head and payload must share one write");
+        let raw = String::from_utf8(sink.0.remove(0)).unwrap();
+        let (head, payload) = raw.split_once("\r\n\r\n").unwrap();
+        assert!(head.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
+        assert!(head.contains("Connection: keep-alive"), "{raw}");
+        assert!(head.contains("Retry-After: 3"), "{raw}");
+        assert!(head.contains(&format!("Content-Length: {}", payload.len())));
+        assert_eq!(payload, "{\"id\":7,\"state\":\"queued\"}");
     }
 
     #[test]

@@ -68,6 +68,12 @@ pub enum JournalEvent {
         outcome: String,
         /// The produced run record, for `done` outcomes.
         record: Option<RunRecord>,
+        /// The record's index in the run database. Absent from journals
+        /// written before the field existed; replay then falls back to the
+        /// record's position among the journal's finished records, which
+        /// is its index as long as the journal has never been compacted.
+        #[serde(default)]
+        run_index: Option<usize>,
     },
 }
 
@@ -105,10 +111,10 @@ pub struct PendingJob {
 pub struct Recovery {
     /// Jobs submitted but never finished, in submission order.
     pub pending: Vec<PendingJob>,
-    /// Run records from `Finished` events, in completion order. The server
-    /// appends the tail missing from the (less frequently persisted)
-    /// database.
-    pub finished_records: Vec<RunRecord>,
+    /// Run records from `Finished` events with their run-database index,
+    /// in completion order. The server appends those the (less frequently
+    /// persisted) database does not reach.
+    pub finished_records: Vec<(usize, RunRecord)>,
     /// Complete lines that failed to parse (corruption other than the
     /// expected torn tail).
     pub skipped_lines: usize,
@@ -324,13 +330,19 @@ fn fold(events: Vec<JournalEvent>, skipped_lines: usize) -> Recovery {
                     job.attempt = job.attempt.max(attempt);
                 }
             }
-            JournalEvent::Finished { id, record, .. } => {
+            JournalEvent::Finished {
+                id,
+                record,
+                run_index,
+                ..
+            } => {
                 if let Some(&i) = index_of.get(&id) {
                     pending[i] = None;
                 }
                 if finished.insert(id) {
                     if let Some(record) = record {
-                        finished_records.push(record);
+                        let index = run_index.unwrap_or(finished_records.len());
+                        finished_records.push((index, record));
                     }
                 }
             }
@@ -363,6 +375,8 @@ mod tests {
             reorder: false,
             representation: None,
             segment_bytes: None,
+            tenant: None,
+            api_key: None,
         }
     }
 
@@ -398,6 +412,7 @@ mod tests {
             id: 0,
             outcome: "done".into(),
             record: None,
+            run_index: None,
         })
         .unwrap();
         j.append(&JournalEvent::Started { id: 1, attempt: 1 })
@@ -489,6 +504,7 @@ mod tests {
                 id: 0,
                 outcome: "done".into(),
                 record: None,
+                run_index: None,
             })
             .unwrap();
         }
@@ -540,6 +556,7 @@ mod tests {
                 id: 0,
                 outcome: "done".into(),
                 record: None,
+                run_index: None,
             })
             .is_err());
         let rec = replay(&path).unwrap();
@@ -562,6 +579,7 @@ mod tests {
                 id: i,
                 outcome: "done".into(),
                 record: None,
+                run_index: None,
             })
             .unwrap();
         }

@@ -359,14 +359,22 @@ impl Server {
             }
             None => (RunDb::new(), Journal::disabled()),
         };
-        // The journal has the authoritative tail: re-append any finished
-        // records the (less frequently saved) database is missing.
+        // The journal has the authoritative tail: re-append every finished
+        // record the (less frequently saved) database does not reach.
+        // Records are told apart by their run index, not counted — after a
+        // compaction the journal no longer holds every record since the
+        // database was empty.
         let mut db = db;
-        if recovery.finished_records.len() > db.len() {
-            db_recovered = true;
-            for record in recovery.finished_records[db.len()..].iter() {
-                db.push(record.clone());
-            }
+        let saved = db.len();
+        let mut missing: Vec<(usize, RunRecord)> = std::mem::take(&mut recovery.finished_records)
+            .into_iter()
+            .filter(|(index, _)| *index >= saved)
+            .collect();
+        // Two workers may journal in the opposite order they appended.
+        missing.sort_by_key(|(index, _)| *index);
+        db_recovered |= !missing.is_empty();
+        for (_, record) in missing {
+            db.push(record);
         }
         let db = SharedRunDb::new(db);
 
@@ -616,6 +624,9 @@ fn accept_loop(listener: TcpListener, state: &ServiceState) {
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+                // Responses leave in one write; with Nagle off none of them
+                // waits for the client's delayed ACK of the one before.
+                let _ = stream.set_nodelay(true);
                 if !state.conn_queue.push(stream) {
                     break;
                 }
@@ -735,6 +746,7 @@ fn watchdog_loop(state: &ServiceState) {
                             id: entry.job.id,
                             outcome: JobState::Cancelled.as_str().to_string(),
                             record: None,
+                            run_index: None,
                         });
                     }
                 } else {
@@ -771,7 +783,7 @@ fn finish_job(
     final_state: JobState,
     error: Option<String>,
     run_ms: f64,
-    record: Option<RunRecord>,
+    record: Option<(usize, RunRecord)>,
 ) {
     {
         let mut status = job.status();
@@ -786,10 +798,12 @@ fn finish_job(
         JobState::TimedOut => state.metrics.timed_out.fetch_add(1, Ordering::Relaxed),
         JobState::Queued | JobState::Running => unreachable!("finish_job with non-terminal state"),
     };
+    let (run_index, record) = record.unzip();
     state.journal(JournalEvent::Finished {
         id: job.id,
         outcome: final_state.as_str().to_string(),
         record,
+        run_index,
     });
     let total_ms = job.submitted.elapsed().as_secs_f64() * 1e3;
     state.metrics.observe_latency_ms(total_ms);
@@ -1169,7 +1183,14 @@ fn execute_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
                     status.run_index = Some(run_index);
                     status.serialize_ms = serialize_ms;
                 }
-                finish_job(state, job, JobState::Done, None, run_ms, Some(record));
+                finish_job(
+                    state,
+                    job,
+                    JobState::Done,
+                    None,
+                    run_ms,
+                    Some((run_index, record)),
+                );
                 let total = state.completed.fetch_add(1, Ordering::SeqCst) + 1;
                 state.persist_if_due(total);
             }
@@ -1778,6 +1799,7 @@ fn submit_job(state: &Arc<ServiceState>, body: &[u8], header_key: Option<&str>) 
             id: job.id,
             outcome: JobState::Cancelled.as_str().to_string(),
             record: None,
+            run_index: None,
         });
         return (503, json!({"error": "server is draining", "id": job.id}));
     }
@@ -2100,7 +2122,9 @@ mod tests {
             ..ServiceConfig::default()
         };
         let first = Server::start(config.clone()).unwrap();
-        let err = Server::start(config.clone()).expect_err("second server must be refused");
+        let err = Server::start(config.clone())
+            .err()
+            .expect("second server must be refused");
         let typed = err
             .get_ref()
             .and_then(|e| e.downcast_ref::<crate::lock::AlreadyLocked>())

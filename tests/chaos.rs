@@ -161,6 +161,49 @@ fn journal_replay_restores_records_lost_to_a_persist_fault() {
 }
 
 #[test]
+fn finished_runs_survive_a_second_crash_after_journal_compaction() {
+    let db_path = temp_db("two_generations");
+    // No periodic save: between restarts the journal is the only durable
+    // copy of a finished run.
+    let cfg = || ServiceConfig {
+        persist_every: 0,
+        ..config(Some(db_path.clone()), 1)
+    };
+    let finish = |addr: &str, seeds: std::ops::Range<u64>| {
+        for seed in seeds {
+            let id = submit(
+                addr,
+                json!({"algorithm": "CC", "size": 1000, "seed": seed, "profile": "quick"}),
+            );
+            let terminal = client::wait_for_job(addr, id, WAIT).unwrap();
+            assert_eq!(terminal["state"], "done", "{terminal}");
+        }
+    };
+
+    // Generation 1: three runs, then the process dies.
+    let (addr, handle) = start_with(cfg());
+    finish(&addr, 0..3);
+    handle.simulate_crash().unwrap();
+
+    // Generation 2: recovery restores the three, saves them and compacts
+    // the journal; FEWER runs than before finish, then it dies again. The
+    // journal now holds two finished records against a database of three,
+    // so counting them would conclude nothing is missing.
+    let (addr, handle) = start_with(cfg());
+    assert_eq!(metrics(&addr)["db_runs"], 3);
+    finish(&addr, 3..5);
+    handle.simulate_crash().unwrap();
+
+    // Generation 3: every run is present once, in order.
+    let (addr, handle) = start_with(cfg());
+    assert_eq!(metrics(&addr)["db_runs"], 5);
+    shutdown(&addr, handle);
+    let db = RunDb::load(&db_path).unwrap();
+    let seeds: Vec<u64> = db.runs.iter().map(|r| r.seed).collect();
+    assert_eq!(seeds, vec![0, 1, 2, 3, 4]);
+}
+
+#[test]
 fn injected_panic_is_retried_to_success() {
     let plan = Arc::new(FaultPlan::new());
     // Job id 0 panics on its first attempt; one-shot disarm lets the
