@@ -11,26 +11,86 @@ use graphmine_gen::GridMrf;
 use graphmine_graph::{EdgeId, Graph, VertexId};
 use serde::{Deserialize, Serialize};
 
+/// Most labels a vertex can carry. Beliefs, priors and message payloads
+/// are fixed-size inline arrays of this length (like `linalg::Factor`), so
+/// no message or state sync touches the heap per label vector. Sized with
+/// the push outbox in mind: every in-flight message is one
+/// `(VertexId, LbpMessage)` entry that embeds a [`Labels`].
+pub const MAX_LABELS: usize = 4;
+
+/// One value per label; entries at and beyond the program's `num_labels`
+/// stay `0.0` and are never read.
+pub type Labels = [f64; MAX_LABELS];
+
+fn to_labels(values: &[f64]) -> Labels {
+    let mut out = [0.0; MAX_LABELS];
+    out[..values.len()].copy_from_slice(values);
+    out
+}
+
+/// One sender's per-label log message.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct Packet {
+    /// The vertex that sent it.
+    pub sender: VertexId,
+    /// The log message, one entry per label.
+    pub values: Labels,
+}
+
+/// The packets addressed to one vertex in one iteration, in arrival order.
+/// `scatter` emits exactly one packet, held inline; only a destination
+/// that combines a second one allocates (once, for the spill).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct LbpMessage {
+    first: Packet,
+    rest: Vec<Packet>,
+}
+
+impl LbpMessage {
+    /// The packets in arrival order.
+    pub fn packets(&self) -> impl Iterator<Item = &Packet> {
+        std::iter::once(&self.first).chain(&self.rest)
+    }
+}
+
 /// Per-vertex LBP state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct LbpState {
     /// Log-domain belief per label.
-    pub belief: Vec<f64>,
+    pub belief: Labels,
     /// Latest message from each neighbor, keyed by sender (small linear
-    /// map — grid degree is ≤ 4).
-    incoming: Vec<(VertexId, Vec<f64>)>,
+    /// map — grid degree is ≤ 4), in first-arrival order.
+    incoming: Vec<Packet>,
     /// Belief movement in the last apply.
     pub delta: f64,
 }
 
-/// One BP packet: `(sender, per-label log message)` pairs, concatenated by
-/// the combiner.
-pub type LbpMessage = Vec<(VertexId, Vec<f64>)>;
+/// The engine double-buffers states and re-syncs the buffers every
+/// iteration, so both directions of the copy keep `incoming`'s buffer:
+/// `clone` carries the capacity reserved at start over to the copy, and
+/// `clone_from` overwrites in place.
+impl Clone for LbpState {
+    fn clone(&self) -> LbpState {
+        let mut incoming = Vec::with_capacity(self.incoming.capacity());
+        incoming.extend_from_slice(&self.incoming);
+        LbpState {
+            belief: self.belief,
+            incoming,
+            delta: self.delta,
+        }
+    }
+
+    fn clone_from(&mut self, source: &LbpState) {
+        self.belief = source.belief;
+        self.incoming.clone_from(&source.incoming);
+        self.delta = source.delta;
+    }
+}
 
 /// The LBP vertex program.
 pub struct Lbp {
     /// Per-vertex prior log-potentials.
-    priors: Vec<Vec<f64>>,
+    priors: Vec<Labels>,
     /// Potts agreement bonus.
     smoothing: f64,
     /// Number of labels.
@@ -41,10 +101,19 @@ pub struct Lbp {
 
 impl Lbp {
     /// Build a program from priors and a Potts smoothing strength.
-    pub fn new(priors: Vec<Vec<f64>>, smoothing: f64, num_labels: usize) -> Lbp {
+    ///
+    /// # Panics
+    ///
+    /// When `num_labels` exceeds [`MAX_LABELS`] or a prior does not have
+    /// `num_labels` entries.
+    pub fn new(priors: &[Vec<f64>], smoothing: f64, num_labels: usize) -> Lbp {
+        assert!(
+            num_labels <= MAX_LABELS,
+            "LBP supports at most MAX_LABELS = {MAX_LABELS} labels, got {num_labels}"
+        );
         assert!(priors.iter().all(|p| p.len() == num_labels));
         Lbp {
-            priors,
+            priors: priors.iter().map(|p| to_labels(p)).collect(),
             smoothing,
             num_labels,
             tolerance: 1e-4,
@@ -83,31 +152,38 @@ impl VertexProgram for Lbp {
         info: &mut ApplyInfo,
     ) {
         // Fold fresh messages into the stored table (latest per sender).
-        if let Some(packets) = msg {
-            for (sender, m) in packets {
-                match state.incoming.iter_mut().find(|(s, _)| s == sender) {
-                    Some((_, slot)) => slot.clone_from(m),
-                    None => state.incoming.push((*sender, m.clone())),
+        if let Some(msg) = msg {
+            for packet in msg.packets() {
+                match state
+                    .incoming
+                    .iter_mut()
+                    .find(|p| p.sender == packet.sender)
+                {
+                    Some(slot) => slot.values = packet.values,
+                    None => state.incoming.push(*packet),
                 }
             }
         }
         // Belief = prior + sum of incoming messages.
-        let prior = &self.priors[v as usize];
-        let mut belief: Vec<f64> = prior.clone();
-        for (_, m) in &state.incoming {
-            for (b, x) in belief.iter_mut().zip(m.iter()) {
+        let l = self.num_labels;
+        let mut belief = self.priors[v as usize];
+        for packet in &state.incoming {
+            for (b, x) in belief[..l].iter_mut().zip(&packet.values[..l]) {
                 *b += x;
             }
         }
         // Normalize (max 0) to keep the log scale bounded.
-        let max = belief.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for b in &mut belief {
+        let max = belief[..l]
+            .iter()
+            .cloned()
+            .fold(f64::NEG_INFINITY, f64::max);
+        for b in &mut belief[..l] {
             *b -= max;
         }
-        info.ops += (self.num_labels * (state.incoming.len() + 1)) as u64;
-        state.delta = belief
+        info.ops += (l * (state.incoming.len() + 1)) as u64;
+        state.delta = belief[..l]
             .iter()
-            .zip(state.belief.iter())
+            .zip(&state.belief[..l])
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         state.belief = belief;
@@ -132,10 +208,11 @@ impl VertexProgram for Lbp {
         let reverse = state
             .incoming
             .iter()
-            .find(|(s, _)| *s == nbr)
-            .map(|(_, m)| m.as_slice());
+            .find(|p| p.sender == nbr)
+            .map(|p| &p.values);
         let l = self.num_labels;
-        let mut out = vec![f64::NEG_INFINITY; l];
+        let mut out = [0.0; MAX_LABELS];
+        out[..l].fill(f64::NEG_INFINITY);
         for target in 0..l {
             for source in 0..l {
                 let mut score = state.belief[source];
@@ -150,15 +227,22 @@ impl VertexProgram for Lbp {
                 }
             }
         }
-        let max = out.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        for x in &mut out {
+        let max = out[..l].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        for x in &mut out[..l] {
             *x -= max;
         }
-        Some(vec![(v, out)])
+        Some(LbpMessage {
+            first: Packet {
+                sender: v,
+                values: out,
+            },
+            rest: Vec::new(),
+        })
     }
 
     fn combine(&self, into: &mut LbpMessage, from: LbpMessage) {
-        into.extend(from);
+        into.rest.push(from.first);
+        into.rest.extend(from.rest);
     }
 
     /// Concatenation is order-sensitive: apply reads the factor list in
@@ -176,28 +260,29 @@ impl VertexProgram for Lbp {
 /// belief) and the behavior trace.
 pub fn run_lbp_on(
     graph: &Graph,
-    priors: Vec<Vec<f64>>,
+    priors: &[Vec<f64>],
     smoothing: f64,
     num_labels: usize,
     config: &ExecutionConfig,
 ) -> (Vec<usize>, RunTrace) {
     assert_eq!(priors.len(), graph.num_vertices());
-    let states: Vec<LbpState> = priors
-        .iter()
-        .map(|p| LbpState {
-            belief: p.clone(),
-            incoming: Vec::new(),
+    let program = Lbp::new(priors, smoothing, num_labels);
+    let states: Vec<LbpState> = graph
+        .vertices()
+        .map(|v| LbpState {
+            belief: program.priors[v as usize],
+            // One slot per possible sender, so apply never grows it.
+            incoming: Vec::with_capacity(graph.in_degree(v)),
             delta: f64::INFINITY,
         })
         .collect();
-    let program = Lbp::new(priors, smoothing, num_labels);
     let edge_data = vec![(); graph.num_edges()];
     let engine = SyncEngine::with_global(graph, program, states, edge_data, 0usize);
     let (finals, trace) = engine.run_resumable(config);
     let labels = finals
         .iter()
         .map(|s| {
-            s.belief
+            s.belief[..num_labels]
                 .iter()
                 .enumerate()
                 .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite beliefs"))
@@ -212,7 +297,7 @@ pub fn run_lbp_on(
 pub fn run_lbp(mrf: &GridMrf, config: &ExecutionConfig) -> (Vec<usize>, RunTrace) {
     run_lbp_on(
         &mrf.graph,
-        mrf.priors.clone(),
+        &mrf.priors,
         mrf.smoothing,
         mrf.num_labels,
         config,
@@ -278,7 +363,7 @@ mod tests {
     #[test]
     fn exact_on_tree() {
         let (g, priors) = chain_priors();
-        let (labels, trace) = run_lbp_on(&g, priors.clone(), 0.5, 2, &ExecutionConfig::default());
+        let (labels, trace) = run_lbp_on(&g, &priors, 0.5, 2, &ExecutionConfig::default());
         let reference = brute_force_map(&g, &priors, 0.5, 2);
         assert_eq!(labels, reference);
         assert!(trace.converged);
@@ -291,7 +376,7 @@ mod tests {
         // can legitimately mix).
         let (g, mut priors) = chain_priors();
         priors[0][0] = 5.0;
-        let (labels, _) = run_lbp_on(&g, priors, 10.0, 2, &ExecutionConfig::default());
+        let (labels, _) = run_lbp_on(&g, &priors, 10.0, 2, &ExecutionConfig::default());
         assert_eq!(labels, vec![0, 0, 0, 0]);
     }
 
@@ -328,6 +413,13 @@ mod tests {
         let (_, trace) = run_lbp(&mrf, &ExecutionConfig::with_max_iterations(100));
         assert!(trace.iterations.iter().all(|it| it.edge_reads == 0));
         assert!(trace.iterations[0].messages > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most MAX_LABELS = 4 labels, got 5")]
+    fn too_many_labels_are_rejected_by_name() {
+        let priors = vec![vec![0.0; MAX_LABELS + 1]; 2];
+        Lbp::new(&priors, 1.0, MAX_LABELS + 1);
     }
 
     #[test]

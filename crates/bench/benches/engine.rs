@@ -1,6 +1,6 @@
 //! Engine micro-benchmarks and ablations: synchronous GAS iteration
-//! throughput, parallel vs sequential execution, and apply-timing overhead
-//! (the ablations DESIGN.md calls out).
+//! throughput, parallel vs sequential execution, executors and frontier
+//! modes (the ablations DESIGN.md calls out).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphmine_engine::{
@@ -96,24 +96,6 @@ fn ablation_parallel_vs_sequential(c: &mut Criterion) {
             b.iter(|| {
                 let cfg = ExecutionConfig {
                     sequential,
-                    ..ExecutionConfig::default()
-                };
-                run_probe(&graph, &cfg)
-            })
-        });
-    }
-    g.finish();
-}
-
-fn ablation_apply_timing_overhead(c: &mut Criterion) {
-    let graph = powerlaw_graph(&PowerLawConfig::new(100_000, 2.5, 3));
-    let mut g = c.benchmark_group("ablation_apply_timing");
-    g.sample_size(10).measurement_time(Duration::from_secs(3));
-    for (name, skip) in [("timed", false), ("untimed", true)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let cfg = ExecutionConfig {
-                    skip_apply_timing: skip,
                     ..ExecutionConfig::default()
                 };
                 run_probe(&graph, &cfg)
@@ -284,7 +266,6 @@ criterion_group!(
     benches,
     engine_throughput,
     ablation_parallel_vs_sequential,
-    ablation_apply_timing_overhead,
     ablation_executors,
     frontier_modes
 );

@@ -180,8 +180,10 @@ pub fn edge_centric_run<P: VertexProgram>(
             .enumerate()
             .map(|(ci, ((state_chunk, acc_chunk), inbox_chunk))| {
                 let base = ci * cs;
-                let mut ns = 0u64;
                 let mut ops = 0u64;
+                // One clock pair per chunk, like `SyncEngine`'s apply tasks,
+                // so WORK(ns) is comparable across the two executors.
+                let t0 = Instant::now();
                 for (off, ((slot, acc), msg)) in state_chunk
                     .iter_mut()
                     .zip(acc_chunk.iter_mut())
@@ -194,12 +196,10 @@ pub fn edge_centric_run<P: VertexProgram>(
                     }
                     let mut info = ApplyInfo::default();
                     let msg = msg.take();
-                    let t0 = Instant::now();
                     program.apply(v, slot, acc.take(), msg.as_ref(), &global, &mut info);
-                    ns += t0.elapsed().as_nanos() as u64;
                     ops += info.ops;
                 }
-                (ns, ops)
+                (t0.elapsed().as_nanos() as u64, ops)
             })
             .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1));
 

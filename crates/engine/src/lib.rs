@@ -115,3 +115,11 @@ pub use sync_engine::{
     SPARSE_FRONTIER_THRESHOLD,
 };
 pub use trace::{DirectionChoice, IterationStats, RunTrace};
+
+/// Threads of the pool the parallel phases run on. The first call from
+/// anywhere starts rayon's global pool, whose threads inherit the caller's
+/// CPU affinity — so a process that pins threads calls this first, from a
+/// thread that is not pinned.
+pub fn pool_threads() -> usize {
+    rayon::current_num_threads()
+}

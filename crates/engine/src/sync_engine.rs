@@ -164,9 +164,6 @@ pub struct ExecutionConfig {
     pub max_iterations: usize,
     /// Run phases sequentially (deterministic debugging / tiny graphs).
     pub sequential: bool,
-    /// Skip wall-clock timing of apply (used by benchmarks measuring the
-    /// engine itself; `apply_ops` still gives logical WORK).
-    pub skip_apply_timing: bool,
     /// Cluster simulation: a partition id per vertex. When set, edge reads
     /// and messages whose endpoints live on different partitions are also
     /// tallied as *remote* — modeling the network traffic the computation
@@ -236,7 +233,6 @@ impl Default for ExecutionConfig {
         ExecutionConfig {
             max_iterations: 10_000,
             sequential: false,
-            skip_apply_timing: false,
             partition: None,
             cancel: None,
             frontier_mode: FrontierMode::Adaptive,
@@ -943,7 +939,7 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
             PendingSync::Clean => {}
             PendingSync::Vertices(stale) => {
                 for &v in stale {
-                    next_states[v as usize] = states[v as usize].clone();
+                    next_states[v as usize].clone_from(&states[v as usize]);
                 }
             }
             PendingSync::All => {
@@ -962,21 +958,17 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                 }
             }
         }
-        let skip_timing = config.skip_apply_timing;
+        // WORK is timed per task, not per vertex: one clock pair brackets a
+        // task's whole apply loop (after the fused state sync), so a
+        // two-flop apply is not drowned by two clock reads. `apply_ns` is
+        // the sum over tasks, i.e. CPU time summed over threads.
         let apply_one = |v: VertexId,
                          slot: &mut P::State,
                          acc: Option<P::Accum>,
                          msg: Option<P::Message>,
-                         ns: &mut u64,
                          ops: &mut u64| {
             let mut info = ApplyInfo::default();
-            if skip_timing {
-                program.apply(v, slot, acc, msg.as_ref(), global, &mut info);
-            } else {
-                let t0 = Instant::now();
-                program.apply(v, slot, acc, msg.as_ref(), global, &mut info);
-                *ns += t0.elapsed().as_nanos() as u64;
-            }
+            program.apply(v, slot, acc, msg.as_ref(), global, &mut info);
             *ops += info.ops;
         };
         let (apply_ns, apply_ops) = if sparse {
@@ -1002,20 +994,13 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                 .collect();
             let per_item = |(dst, mut acc, mut inb, ci, verts): ApplyItem<'_, P>| -> (u64, u64) {
                 let base = ci * cs;
-                let mut ns: u64 = 0;
                 let mut ops: u64 = 0;
+                let t0 = Instant::now();
                 for &v in verts {
                     let off = v as usize - base;
-                    apply_one(
-                        v,
-                        &mut dst[off],
-                        acc.take(off),
-                        inb.take(off),
-                        &mut ns,
-                        &mut ops,
-                    );
+                    apply_one(v, &mut dst[off], acc.take(off), inb.take(off), &mut ops);
                 }
-                (ns, ops)
+                (t0.elapsed().as_nanos() as u64, ops)
             };
             if config.sequential {
                 work.into_iter().map(per_item).fold((0, 0), sum2)
@@ -1042,16 +1027,16 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                         dst.clone_from_slice(src);
                     }
                     let base = ci * cs;
-                    let mut ns: u64 = 0;
                     let mut ops: u64 = 0;
+                    let t0 = Instant::now();
                     for (off, slot) in dst.iter_mut().enumerate() {
                         let v = (base + off) as VertexId;
                         if !active[v as usize] {
                             continue;
                         }
-                        apply_one(v, slot, acc.take(off), inb.take(off), &mut ns, &mut ops);
+                        apply_one(v, slot, acc.take(off), inb.take(off), &mut ops);
                     }
-                    (ns, ops)
+                    (t0.elapsed().as_nanos() as u64, ops)
                 };
             if config.sequential {
                 next_states

@@ -28,7 +28,11 @@ pub struct IterationStats {
     pub edge_reads: u64,
     /// Messages sent during scatter (pre-combining) — MSG numerator.
     pub messages: u64,
-    /// Nanoseconds spent inside user apply functions — WORK numerator.
+    /// Nanoseconds spent in apply — WORK numerator. The synchronous and
+    /// edge-centric executors read the clock once per apply task (a
+    /// chunk's apply loop, after any state sync) and sum over tasks, so
+    /// this is CPU time summed over threads and includes the loop's own
+    /// slot takes and active tests.
     pub apply_ns: u64,
     /// Logical work units reported by apply (deterministic WORK proxy).
     pub apply_ops: u64,

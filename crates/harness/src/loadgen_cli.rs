@@ -58,19 +58,18 @@ fn usage() -> String {
 
 /// Parse `"5s"`, `"250ms"`, `"2m"`, or a bare number of seconds.
 fn parse_duration(s: &str) -> Result<Duration, String> {
-    let bad = |_| format!("unparseable duration `{s}`");
-    if let Some(ms) = s.strip_suffix("ms") {
-        return Ok(Duration::from_millis(ms.parse().map_err(bad)?));
-    }
-    if let Some(sec) = s.strip_suffix('s') {
-        return Ok(Duration::from_secs_f64(sec.parse().map_err(bad)?));
-    }
-    if let Some(min) = s.strip_suffix('m') {
-        return Ok(Duration::from_secs_f64(
-            min.parse::<f64>().map_err(bad)? * 60.0,
-        ));
-    }
-    Ok(Duration::from_secs_f64(s.parse().map_err(bad)?))
+    let parsed = if let Some(ms) = s.strip_suffix("ms") {
+        ms.parse().ok().map(Duration::from_millis)
+    } else if let Some(sec) = s.strip_suffix('s') {
+        sec.parse().ok().map(Duration::from_secs_f64)
+    } else if let Some(min) = s.strip_suffix('m') {
+        min.parse()
+            .ok()
+            .map(|m: f64| Duration::from_secs_f64(m * 60.0))
+    } else {
+        s.parse().ok().map(Duration::from_secs_f64)
+    };
+    parsed.ok_or_else(|| format!("unparseable duration `{s}`"))
 }
 
 fn parse(mut args: impl Iterator<Item = String>) -> Result<LoadgenArgs, String> {
@@ -465,11 +464,15 @@ mod tests {
 
     #[test]
     fn duration_suffixes_parse() {
-        assert_eq!(parse_duration("5s").unwrap(), Duration::from_secs(5));
         assert_eq!(parse_duration("250ms").unwrap(), Duration::from_millis(250));
-        assert_eq!(parse_duration("2m").unwrap(), Duration::from_secs(120));
-        assert_eq!(parse_duration("1.5").unwrap(), Duration::from_millis(1500));
-        assert!(parse_duration("abc").is_err());
+        assert_eq!(parse_duration("2s").unwrap(), Duration::from_secs(2));
+        assert_eq!(parse_duration("1.5m").unwrap(), Duration::from_secs(90));
+        assert_eq!(parse_duration("3").unwrap(), Duration::from_secs(3));
+        // The integer and the float parses both name the input on failure.
+        for input in ["x", "xms", "1.5ms", "x.s"] {
+            let err = parse_duration(input).unwrap_err();
+            assert!(err.contains(&format!("`{input}`")), "{err}");
+        }
     }
 
     #[test]

@@ -208,6 +208,8 @@ mod tests {
             latency: json!({}),
             latency_histogram: h,
             per_class: vec![],
+            per_tenant: vec![],
+            tenant_mismatches: 0,
             service_stages: json!({}),
         }
     }

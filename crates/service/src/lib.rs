@@ -24,6 +24,7 @@
 //! handle.wait().unwrap(); // returns after POST /shutdown drains
 //! ```
 
+mod affinity;
 pub mod cache;
 pub mod client;
 pub mod http;

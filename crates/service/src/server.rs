@@ -31,6 +31,7 @@
 //! admission control sheds load with `429 Too Many Requests` once the
 //! queue exceeds its configured depth.
 
+use crate::affinity;
 use crate::cache::{CacheKey, GraphCache};
 use crate::http::{self, Request};
 use crate::job::{
@@ -76,7 +77,8 @@ pub struct ServiceConfig {
     /// Bind address; port 0 picks an ephemeral port (tests, benches).
     pub addr: String,
     /// Job worker threads (engine runs are internally parallel via rayon,
-    /// so a few workers saturate a machine).
+    /// so a few workers saturate a machine). When there are no more of
+    /// them than CPUs, each is pinned to its own (see `affinity`).
     pub workers: usize,
     /// HTTP handler threads (cheap; they mostly wait on sockets).
     pub http_workers: usize,
@@ -505,9 +507,16 @@ impl Server {
             let state = Arc::clone(&state);
             threads.push(std::thread::spawn(move || http_loop(&state)));
         }
-        for _ in 0..workers {
+        // The engine's pool must exist before a worker pins itself, or
+        // its threads would inherit that worker's single CPU.
+        graphmine_engine::pool_threads();
+        let first_slot = affinity::reserve_slots(workers);
+        for i in 0..workers {
             let state = Arc::clone(&state);
-            threads.push(std::thread::spawn(move || job_loop(&state)));
+            threads.push(std::thread::spawn(move || {
+                affinity::pin_worker(first_slot + i, workers);
+                job_loop(&state)
+            }));
         }
         {
             let state = Arc::clone(&state);
