@@ -169,12 +169,16 @@ pub struct DiameterEstimate {
 /// Run approximate diameter estimation on an undirected graph.
 pub fn run_adiam(graph: &Graph, config: &ExecutionConfig) -> (DiameterEstimate, RunTrace) {
     let n = graph.num_vertices();
-    // Seed sketches: vertex v sets one FM bit per register.
-    let states: Vec<Sketch> = (0..n as u64)
+    // Seed sketches: vertex v sets one FM bit per register, hashed from its
+    // id before any degree reordering so a reordered graph runs the same
+    // estimate.
+    let inverse = graph.vertex_inverse();
+    let states: Vec<Sketch> = (0..n)
         .map(|v| {
+            let id = inverse.map_or(v as u64, |inv| u64::from(inv[v]));
             let mut s = [0u64; NUM_SKETCHES];
             for (r, slot) in s.iter_mut().enumerate() {
-                *slot = 1u64 << fm_bit(hash64(v ^ ((r as u64) << 56) ^ 0xABCD));
+                *slot = 1u64 << fm_bit(hash64(id ^ ((r as u64) << 56) ^ 0xABCD));
             }
             s
         })

@@ -201,12 +201,15 @@ pub fn run_kmeans(
     config: &ExecutionConfig,
 ) -> (Vec<u32>, RunTrace) {
     assert_eq!(points.len(), graph.num_vertices());
+    // Initial clusters follow the id before any degree reordering, so a
+    // reordered graph starts from the same partition.
+    let inverse = graph.vertex_inverse();
     let states: Vec<KmState> = points
         .iter()
         .enumerate()
         .map(|(v, &point)| KmState {
             point,
-            cluster: (v % k) as u32,
+            cluster: (inverse.map_or(v, |inv| inv[v] as usize) % k) as u32,
             changed: true,
         })
         .collect();

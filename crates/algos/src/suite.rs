@@ -661,6 +661,65 @@ mod tests {
     }
 
     #[test]
+    fn reordered_powerlaw_runs_ad_and_km_from_the_same_start() {
+        let w = Workload::powerlaw(600, 2.5, 7);
+        let r = w.reordered_by_degree();
+        let (
+            Workload::PowerLaw {
+                graph: g0,
+                points: p0,
+                ..
+            },
+            Workload::PowerLaw {
+                graph: g1,
+                points: p1,
+                ..
+            },
+        ) = (&w, &r)
+        else {
+            panic!("powerlaw stays powerlaw");
+        };
+        let remap = g1.vertex_remap().expect("permutation recorded");
+        let cfg = SuiteConfig::default();
+        let same_iterations = |alg: &str, t0: &RunTrace, t1: &RunTrace| {
+            assert_eq!(t0.num_iterations(), t1.num_iterations(), "{alg}");
+            for (i, (a, b)) in t0.iterations.iter().zip(&t1.iterations).enumerate() {
+                assert_eq!(
+                    (a.active, a.messages),
+                    (b.active, b.messages),
+                    "{alg} iteration {i}"
+                );
+            }
+        };
+
+        // AD seeds each sketch from the vertex's natural id.
+        let (est0, t0) = adiam::run_adiam(g0, &cfg.exec);
+        let (est1, t1) = adiam::run_adiam(g1, &cfg.exec);
+        same_iterations("AD", &t0, &t1);
+        assert_eq!(est0.diameter, est1.diameter);
+        // Converged sketches of a connected graph are the same whatever
+        // vertex holds which seed; one hop in, they are not. The estimate
+        // sums per-vertex values in vertex order, so the two numberings
+        // may differ by rounding, and by nothing else.
+        let one_hop = ExecutionConfig::with_max_iterations(1);
+        let (hop0, _) = adiam::run_adiam(g0, &one_hop);
+        let (hop1, _) = adiam::run_adiam(g1, &one_hop);
+        let (nf0, nf1) = (hop0.neighborhood_function, hop1.neighborhood_function);
+        assert!(
+            (nf0 - nf1).abs() <= 1e-12 * nf0,
+            "one-hop estimate {nf0} vs {nf1}"
+        );
+
+        // KM's initial partition follows the natural id too.
+        let (a0, t0) = kmeans::run_kmeans(g0, p0, cfg.kmeans_k, &cfg.exec);
+        let (a1, t1) = kmeans::run_kmeans(g1, p1, cfg.kmeans_k, &cfg.exec);
+        same_iterations("KM", &t0, &t1);
+        for (v, &new) in remap.iter().enumerate() {
+            assert_eq!(a1[new as usize], a0[v], "cluster of vertex {v}");
+        }
+    }
+
+    #[test]
     fn reorder_leaves_fixed_numbering_workloads_untouched() {
         assert!(matches!(
             Workload::matrix(20, 0).reordered_by_degree(),

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! graphmine run     [--profile quick|default|full] [--db PATH]
-//!                   [--direction auto|push|pull] [--reorder]
+//!                   [--reorder] [--representation plain|compressed]
 //! graphmine <fig>   [--profile ...] [--db PATH] [--work ops|wall]
 //! graphmine all     [--profile ...] [--db PATH] [--work ops|wall]
 //! graphmine predict [--profile ...] [--db PATH]
@@ -12,8 +12,7 @@
 //! graphmine plot    [--db PATH] [--out DIR]        # SVG figures
 //! graphmine serve   [--addr HOST:PORT] [--workers N] [--cache-mb MB] [--db PATH]
 //!                   [--retry-budget N] [--max-queue-depth N] [--spill-dir DIR]
-//!                   [--graph-dir DIR] [--direction auto|push|pull] [--reorder]
-//!                   [--shards N] [--tenants-file PATH]
+//!                   [--graph-dir DIR] [--shards N] [--tenants-file PATH]
 //! graphmine loadgen [--addr HOST:PORT | --spawn] [--mode open|closed] [--rate R]
 //!                   [--duration 5s] [--seed N] [--sweep R1,R2,...]
 //!                   [--tenants N] [--noisy-factor F] [--tenant-quota Q]
@@ -31,7 +30,6 @@ mod graph_cli;
 mod loadgen_cli;
 
 use graphmine_core::WorkMetric;
-use graphmine_engine::DirectionMode;
 use graphmine_graph::Representation;
 use graphmine_harness::{
     analyze_edge_list_file, export_runs_csv, render_cluster, render_correlations, render_figure,
@@ -55,12 +53,8 @@ struct Args {
     max_queue_depth: usize,
     spill_dir: Option<PathBuf>,
     graph_dir: Option<PathBuf>,
-    direction: DirectionMode,
-    direction_given: Option<String>,
     reorder: bool,
     representation: Representation,
-    representation_given: Option<String>,
-    segment_bytes: Option<usize>,
     shards: usize,
     tenants_file: Option<PathBuf>,
 }
@@ -80,12 +74,8 @@ fn parse_args() -> Result<Args, String> {
     let mut max_queue_depth = 0usize;
     let mut spill_dir: Option<PathBuf> = None;
     let mut graph_dir: Option<PathBuf> = None;
-    let mut direction = DirectionMode::Auto;
-    let mut direction_given: Option<String> = None;
     let mut reorder = false;
     let mut representation = Representation::Plain;
-    let mut representation_given: Option<String> = None;
-    let mut segment_bytes: Option<usize> = None;
     let mut shards = 0usize;
     let mut tenants_file: Option<PathBuf> = None;
     while let Some(flag) = args.next() {
@@ -152,30 +142,12 @@ fn parse_args() -> Result<Args, String> {
                     args.next().ok_or("--graph-dir needs a value")?,
                 ));
             }
-            "--direction" => {
-                let v = args.next().ok_or("--direction needs a value")?;
-                direction = match v.as_str() {
-                    "auto" => DirectionMode::Auto,
-                    "push" => DirectionMode::Push,
-                    "pull" => DirectionMode::Pull,
-                    _ => return Err(format!("unknown direction `{v}` (auto|push|pull)")),
-                };
-                direction_given = Some(v);
-            }
             "--reorder" => {
                 reorder = true;
             }
             "--representation" => {
                 let v = args.next().ok_or("--representation needs a value")?;
                 representation = v.parse::<Representation>()?;
-                representation_given = Some(v);
-            }
-            "--segment-bytes" => {
-                let v = args.next().ok_or("--segment-bytes needs a value")?;
-                segment_bytes = Some(
-                    v.parse()
-                        .map_err(|_| format!("unparseable segment size `{v}`"))?,
-                );
             }
             "--shards" => {
                 let v = args.next().ok_or("--shards needs a value")?;
@@ -205,12 +177,8 @@ fn parse_args() -> Result<Args, String> {
         max_queue_depth,
         spill_dir,
         graph_dir,
-        direction,
-        direction_given,
         reorder,
         representation,
-        representation_given,
-        segment_bytes,
         shards,
         tenants_file,
     })
@@ -219,13 +187,10 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     format!(
         "usage: graphmine <command> [--profile quick|default|full] [--db PATH] [--work wall|ops] [--input EDGELIST]\n\
-         \x20      graphmine run   [--direction auto|push|pull] [--reorder]\n\
-         \x20                      [--representation plain|compressed] [--segment-bytes N] ...\n\
+         \x20      graphmine run   [--profile ...] [--db PATH] [--reorder] [--representation plain|compressed]\n\
          \x20      graphmine serve [--addr HOST:PORT] [--workers N] [--cache-mb MB] [--db PATH]\n\
          \x20                      [--retry-budget N] [--max-queue-depth N] [--spill-dir DIR]\n\
-         \x20                      [--graph-dir DIR] [--direction auto|push|pull] [--reorder]\n\
-         \x20                      [--representation plain|compressed] [--segment-bytes N]\n\
-         \x20                      [--shards N] [--tenants-file PATH]\n\
+         \x20                      [--graph-dir DIR] [--shards N] [--tenants-file PATH]\n\
          \x20      graphmine loadgen [--spawn | --addr HOST:PORT] [--mode open|closed] [--rate R]\n\
          \x20                      [--duration 5s] [--sweep R1,R2,...] [--slo-p99-ms MS] [--json PATH]\n\
          \x20                      [--tenants N] [--noisy-factor F] [--tenant-quota Q] [--tenants-file PATH]\n\
@@ -259,10 +224,8 @@ fn main() -> ExitCode {
         "run" => match run_or_load_with(
             args.profile,
             MatrixOptions {
-                direction: args.direction,
                 reorder: args.reorder,
                 representation: args.representation,
-                segment_bytes: args.segment_bytes,
             },
             &args.db,
             |line| eprintln!("{line}"),
@@ -355,10 +318,6 @@ fn main() -> ExitCode {
                 max_queue_depth: args.max_queue_depth,
                 spill_dir: args.spill_dir.clone(),
                 graph_dir: args.graph_dir.clone(),
-                default_direction: args.direction_given.clone(),
-                default_reorder: args.reorder,
-                default_representation: args.representation_given.clone(),
-                default_segment_bytes: args.segment_bytes,
                 shards: args.shards,
                 tenants,
                 ..graphmine_service::ServiceConfig::default()

@@ -3,7 +3,7 @@
 use crate::matrix::{build_matrix, ExperimentCell, ScaleProfile};
 use graphmine_algos::{run_algorithm, AlgorithmKind, Domain, SuiteConfig, Workload};
 use graphmine_core::{GraphSpec, RunDb, RunRecord};
-use graphmine_engine::{DirectionMode, ExecutionConfig};
+use graphmine_engine::ExecutionConfig;
 use graphmine_graph::Representation;
 use std::collections::HashMap;
 use std::path::Path;
@@ -57,21 +57,16 @@ fn workload_for(cell: &ExperimentCell) -> (WorkloadKey, fn(&ExperimentCell) -> W
     )
 }
 
-/// Execution knobs the CLI threads into a matrix run, orthogonal to the
-/// scale profile: scatter direction, CSR vertex reordering, adjacency
-/// representation, and the propagation segment size. Any setting yields
-/// identical behavior counters — these change wall-clock only.
+/// How the CLI prepares each generated graph of a matrix run, orthogonal
+/// to the scale profile: CSR vertex reordering and adjacency
+/// representation. The engine picks scatter direction and segment size
+/// itself.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MatrixOptions {
-    /// Scatter direction for every engine run.
-    pub direction: DirectionMode,
     /// Permute each generated graph degree-descending before running.
     pub reorder: bool,
     /// Adjacency representation for every generated graph.
     pub representation: Representation,
-    /// Cache-blocking segment size in bytes (`None` keeps the engine
-    /// default, [`graphmine_engine::DEFAULT_SEGMENT_BYTES`]).
-    pub segment_bytes: Option<usize>,
 }
 
 /// Run the full experiment matrix for `profile`, logging progress through
@@ -80,20 +75,15 @@ pub fn run_matrix(profile: ScaleProfile, progress: impl FnMut(&str)) -> RunDb {
     run_matrix_with(profile, MatrixOptions::default(), progress)
 }
 
-/// [`run_matrix`] with explicit direction/reorder options.
+/// [`run_matrix`] with explicit reorder/representation options.
 pub fn run_matrix_with(
     profile: ScaleProfile,
     options: MatrixOptions,
     mut progress: impl FnMut(&str),
 ) -> RunDb {
     let cells = build_matrix(profile);
-    let mut exec = ExecutionConfig::with_max_iterations(profile.max_iterations())
-        .with_direction(options.direction);
-    if let Some(bytes) = options.segment_bytes {
-        exec = exec.with_segment_bytes(bytes);
-    }
     let config = SuiteConfig {
-        exec,
+        exec: ExecutionConfig::with_max_iterations(profile.max_iterations()),
         ..SuiteConfig::default()
     };
     let mut db = RunDb::new();
@@ -162,7 +152,7 @@ pub fn run_or_load(
     run_or_load_with(profile, MatrixOptions::default(), path, progress)
 }
 
-/// [`run_or_load`] with explicit direction/reorder options. The options
+/// [`run_or_load`] with explicit reorder/representation options. The options
 /// only matter when the matrix actually runs — a cached database is served
 /// as-is (behavior counters are identical across options anyway).
 pub fn run_or_load_with(

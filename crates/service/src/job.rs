@@ -3,7 +3,6 @@
 
 use crate::cache::CacheKey;
 use graphmine_algos::{AlgorithmKind, Domain, Workload};
-use graphmine_engine::DirectionMode;
 use graphmine_graph::Representation;
 use serde::{Deserialize, Serialize};
 use serde_json::json;
@@ -48,10 +47,6 @@ pub struct JobRequest {
     /// restarting from iteration 0.
     #[serde(default)]
     pub checkpoint_every: Option<usize>,
-    /// Scatter direction: "auto" (default), "push", or "pull". Any choice
-    /// produces the same behavior counters; only wall-clock differs.
-    #[serde(default)]
-    pub direction: Option<String>,
     /// Permute the generated graph's vertices degree-descending before
     /// running (hub-first CSR locality). Off by default.
     #[serde(default)]
@@ -61,10 +56,6 @@ pub struct JobRequest {
     /// only memory footprint and wall-clock differ.
     #[serde(default)]
     pub representation: Option<String>,
-    /// Cache-blocking segment size in bytes for the propagation phase
-    /// (absent = engine default). Never changes results.
-    #[serde(default)]
-    pub segment_bytes: Option<usize>,
     /// Submitting tenant's id. Server-authoritative on a multi-tenant
     /// server: admission overwrites it from the authenticated API key, so
     /// a client cannot label its jobs as another tenant's. `None` on
@@ -290,19 +281,6 @@ pub fn parse_representation(name: Option<&str>) -> Result<Representation, String
     }
 }
 
-/// Parse a request's scatter-direction field; `None` means `Auto`.
-pub fn parse_direction(name: Option<&str>) -> Result<DirectionMode, String> {
-    match name {
-        None => Ok(DirectionMode::Auto),
-        Some(s) => match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(DirectionMode::Auto),
-            "push" => Ok(DirectionMode::Push),
-            "pull" => Ok(DirectionMode::Pull),
-            other => Err(format!("unknown direction {other:?} (auto|push|pull)")),
-        },
-    }
-}
-
 /// Look up an algorithm by its paper abbreviation, case-insensitively.
 pub fn parse_algorithm(name: &str) -> Option<AlgorithmKind> {
     AlgorithmKind::ALL
@@ -414,10 +392,8 @@ mod tests {
             max_iterations: None,
             timeout_ms: None,
             checkpoint_every: None,
-            direction: None,
             reorder: false,
             representation: None,
-            segment_bytes: None,
             tenant: None,
             api_key: None,
         }
@@ -479,15 +455,6 @@ mod tests {
         let dd = cache_key(AlgorithmKind::Dd, &request("DD"));
         assert_ne!(jacobi, lbp);
         assert_ne!(lbp, dd);
-    }
-
-    #[test]
-    fn direction_parsing_accepts_the_three_modes() {
-        assert_eq!(parse_direction(None), Ok(DirectionMode::Auto));
-        assert_eq!(parse_direction(Some("auto")), Ok(DirectionMode::Auto));
-        assert_eq!(parse_direction(Some("Push")), Ok(DirectionMode::Push));
-        assert_eq!(parse_direction(Some("PULL")), Ok(DirectionMode::Pull));
-        assert!(parse_direction(Some("sideways")).is_err());
     }
 
     #[test]

@@ -371,10 +371,8 @@ mod tests {
             max_iterations: Some(5),
             timeout_ms: None,
             checkpoint_every: None,
-            direction: None,
             reorder: false,
             representation: None,
-            segment_bytes: None,
             tenant: None,
             api_key: None,
         }
@@ -591,6 +589,34 @@ mod tests {
         assert_eq!(rec.pending.len(), 1);
         assert_eq!(rec.pending[0].old_id, 9);
         assert_eq!(rec.pending[0].attempt, 1);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn submissions_with_retired_tuning_keys_still_replay() {
+        // Journals written while jobs could carry `direction` and
+        // `segment_bytes` must still recover those jobs: replay ignores
+        // keys the request no longer declares.
+        let dir = std::env::temp_dir().join(format!("gm-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("retired-keys.journal");
+        std::fs::write(
+            &path,
+            concat!(
+                r#"{"event":"submitted","id":3,"algorithm":"PR","ckpt_tag":"job3","attempt":0,"#,
+                r#""request":{"algorithm":"PR","size":300,"seed":5,"direction":"push","#,
+                r#""reorder":true,"segment_bytes":4096}}"#,
+                "\n"
+            ),
+        )
+        .unwrap();
+        let rec = replay(&path).unwrap();
+        assert_eq!(rec.skipped_lines, 0);
+        assert_eq!(rec.pending.len(), 1);
+        let job = &rec.pending[0];
+        assert_eq!((job.old_id, job.algorithm.as_str()), (3, "PR"));
+        assert_eq!((job.request.size, job.request.seed), (300, 5));
+        assert!(job.request.reorder);
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -32,8 +32,6 @@ pub mod job;
 pub mod journal;
 pub mod lock;
 pub mod metrics;
-pub mod queue;
-pub mod scheduler;
 pub mod server;
 
 pub use cache::{workload_resident_bytes, CacheKey, GraphCache};
@@ -43,6 +41,4 @@ pub use job::{parse_algorithm, Job, JobRequest, JobState, JobStatus};
 pub use journal::{Journal, JournalEvent, PendingJob, Recovery};
 pub use lock::{AlreadyLocked, LockGuard};
 pub use metrics::{Metrics, StageHistograms, TenantMetrics, LATENCY_BUCKETS_MS};
-pub use queue::WorkQueue;
-pub use scheduler::JobScheduler;
 pub use server::{Server, ServerHandle, ServiceConfig};

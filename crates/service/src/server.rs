@@ -35,14 +35,12 @@ use crate::affinity;
 use crate::cache::{CacheKey, GraphCache};
 use crate::http::{self, Request};
 use crate::job::{
-    build_workload, cache_key, domain_name, parse_algorithm, parse_direction, parse_representation,
-    Job, JobRequest, JobState,
+    build_workload, cache_key, domain_name, parse_algorithm, parse_representation, Job, JobRequest,
+    JobState,
 };
 use crate::journal::{self, Journal, JournalEvent};
 use crate::lock::{self, LockGuard};
 use crate::metrics::{Metrics, StageHistograms, TenantMetrics};
-use crate::queue::WorkQueue;
-use crate::scheduler::JobScheduler;
 use graphmine_algos::{run_algorithm, AlgorithmKind, Domain, SuiteConfig, WorkloadMismatch};
 use graphmine_core::{
     best_coverage_ensemble, best_spread_ensemble, CoverageSampler, GraphSpec, LoadError, RunDb,
@@ -53,7 +51,7 @@ use graphmine_engine::{
     CheckpointPolicy, CheckpointStats, DirectionChoice, ExecutionConfig, FaultPlan, FaultSite,
     IoShim,
 };
-use graphmine_shard::{TenantRegistry, TenantSpec};
+use graphmine_shard::{DrrQueue, TenantRegistry, TenantSpec};
 use graphmine_store::{
     finalize_ingest_with, gc_orphan_temps, gc_sessions, load_workload, rebuild_workload_plain,
     Catalog, CatalogEntry, IngestConfig, IngestSession, StoreError, StoredGraph,
@@ -105,25 +103,13 @@ pub struct ServiceConfig {
     pub max_queue_depth: usize,
     /// Deterministic fault injection for chaos tests; `None` in production.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Server-wide scatter direction ("auto" | "push" | "pull") applied to
-    /// jobs that omit `direction`. `None` leaves the engine on `Auto`.
-    pub default_direction: Option<String>,
-    /// Degree-descending vertex reordering for every job that does not set
-    /// `reorder` itself.
-    pub default_reorder: bool,
-    /// Server-wide adjacency representation ("plain" | "compressed")
-    /// applied to jobs that omit `representation`.
-    pub default_representation: Option<String>,
-    /// Server-wide propagation segment size for jobs that omit
-    /// `segment_bytes`. `None` leaves the engine default.
-    pub default_segment_bytes: Option<usize>,
     /// Catalog directory of stored graphs, enabling the `/graphs` ingest
     /// API and `"graph": "<name>"` job requests. `None` disables both.
     pub graph_dir: Option<PathBuf>,
     /// Tenant set enabling multi-tenant operation: API-key authentication
     /// on job routes, per-tenant admission quotas, deficit-round-robin
     /// fair queueing, and per-tenant metrics. `None` (the default) keeps
-    /// the server single-tenant with a plain FIFO queue and no auth.
+    /// the server single-tenant with a one-lane (FIFO) queue and no auth.
     pub tenants: Option<Vec<TenantSpec>>,
     /// Engine shards per job (shard-per-core message exchange). 0 or 1
     /// runs unsharded; any value produces bit-identical results.
@@ -145,10 +131,6 @@ impl Default for ServiceConfig {
             retry_backoff_ms: 50,
             max_queue_depth: 0,
             fault_plan: None,
-            default_direction: None,
-            default_reorder: false,
-            default_representation: None,
-            default_segment_bytes: None,
             graph_dir: None,
             tenants: None,
             shards: 0,
@@ -199,8 +181,9 @@ struct ServiceState {
     db: SharedRunDb,
     cache: GraphCache,
     jobs: RwLock<Vec<Arc<Job>>>,
-    job_queue: JobScheduler<Arc<Job>>,
-    conn_queue: WorkQueue<TcpStream>,
+    /// One lane per tenant in registry order, or one lane without tenants.
+    job_queue: DrrQueue<Arc<Job>>,
+    conn_queue: DrrQueue<TcpStream>,
     metrics: Metrics,
     /// Tenant registry when multi-tenancy is enabled; lane order of the
     /// DRR queue and index space of `tenant_metrics`.
@@ -237,8 +220,8 @@ impl ServiceState {
     }
 
     /// The queue lane a job belongs to: its tenant's registry index, or
-    /// lane 0 for tenant-less jobs (pre-tenancy journals, FIFO servers —
-    /// FIFO ignores the lane entirely).
+    /// lane 0 for tenant-less jobs (pre-tenancy journals, and every job on
+    /// a server without tenants, whose queue has that one lane).
     fn job_lane(&self, job: &Job) -> usize {
         self.tenants
             .as_ref()
@@ -403,9 +386,9 @@ impl Server {
         let workers = config.workers.max(1);
         let http_workers = config.http_workers.max(1);
         // Multi-tenancy: validate the tenant set up front (duplicate ids
-        // or shared keys must fail startup, not authentication), swap the
-        // FIFO queue for a DRR queue with one weighted lane per tenant,
-        // and allocate the per-tenant metric slots.
+        // or shared keys must fail startup, not authentication), give the
+        // job queue one weighted lane per tenant, and allocate the
+        // per-tenant metric slots.
         let tenants = match config.tenants.clone() {
             Some(specs) => Some(Arc::new(
                 TenantRegistry::new(specs).map_err(io::Error::other)?,
@@ -413,8 +396,8 @@ impl Server {
             None => None,
         };
         let job_queue = match &tenants {
-            Some(registry) => JobScheduler::drr(&registry.weights()),
-            None => JobScheduler::fifo(),
+            Some(registry) => DrrQueue::new(&registry.weights()),
+            None => DrrQueue::new(&[1]),
         };
         let tenant_metrics: Vec<TenantMetrics> = tenants
             .iter()
@@ -427,7 +410,7 @@ impl Server {
             cache,
             jobs: RwLock::new(Vec::new()),
             job_queue,
-            conn_queue: WorkQueue::new(),
+            conn_queue: DrrQueue::new(&[1]),
             metrics: Metrics::new(),
             tenants,
             tenant_metrics,
@@ -636,7 +619,7 @@ fn accept_loop(listener: TcpListener, state: &ServiceState) {
                 // Responses leave in one write; with Nagle off none of them
                 // waits for the client's delayed ACK of the one before.
                 let _ = stream.set_nodelay(true);
-                if !state.conn_queue.push(stream) {
+                if !state.conn_queue.push(0, stream) {
                     break;
                 }
             }
@@ -1013,18 +996,11 @@ fn execute_job(state: &Arc<ServiceState>, job: &Arc<Job>) {
         job: Arc::clone(job),
     });
 
-    // Direction was validated at submission; journal-recovered requests
-    // predate validation only if hand-edited, so fall back to Auto.
-    let direction = parse_direction(request.direction.as_deref()).unwrap_or_default();
     // Shard-per-core exchange: results are bit-identical for any shard
     // count, so this is purely an execution-layout knob (0 = unsharded).
     let mut exec = ExecutionConfig::with_max_iterations(job.resolved_max_iterations())
-        .with_direction(direction)
         .with_shards(state.config.shards)
         .with_cancel_flag(Arc::clone(&job.cancel));
-    if let Some(bytes) = request.segment_bytes {
-        exec = exec.with_segment_bytes(bytes);
-    }
     let checkpointing = match request.checkpoint_every.filter(|&every| every > 0) {
         Some(every) => match state.spill_dir() {
             Some(dir) => {
@@ -1748,22 +1724,6 @@ fn submit_job(state: &Arc<ServiceState>, body: &[u8], header_key: Option<&str>) 
             }
             Err(e) => return store_error(&e),
         }
-    }
-    // Server-wide defaults are folded into the request before the job (and
-    // its journal record, and its cache key) is created, so every
-    // downstream consumer sees the effective values.
-    if request.direction.is_none() {
-        request.direction = state.config.default_direction.clone();
-    }
-    request.reorder = request.reorder || state.config.default_reorder;
-    if request.representation.is_none() {
-        request.representation = state.config.default_representation.clone();
-    }
-    if request.segment_bytes.is_none() {
-        request.segment_bytes = state.config.default_segment_bytes;
-    }
-    if let Err(e) = parse_direction(request.direction.as_deref()) {
-        return (400, json!({"error": e}));
     }
     if let Err(e) = parse_representation(request.representation.as_deref()) {
         return (400, json!({"error": e}));

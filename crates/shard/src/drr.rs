@@ -9,13 +9,15 @@
 //! more than one full rotation away. Within a lane, order is strictly
 //! FIFO.
 //!
-//! The queue mirrors the service `WorkQueue`'s lifecycle semantics so the
-//! server can swap it in unchanged: [`DrrQueue::pop`] blocks until an
-//! item arrives or the queue is closed *and* drained (graceful shutdown
-//! finishes queued work), [`DrrQueue::push`] refuses items once closed,
-//! and [`DrrQueue::close_and_clear`] abandons the backlog for hard
-//! shutdown. Locks are poison-tolerant: a panicking worker must not wedge
-//! the queue for everyone else.
+//! It is the service's only queue: the job queue has one lane per tenant
+//! (one lane in all on a server without tenants, where DRR reduces to
+//! plain FIFO), and the connection queue has one lane.
+//! [`DrrQueue::pop`] blocks until an item arrives or the queue is closed
+//! *and* drained (graceful shutdown finishes queued work),
+//! [`DrrQueue::push`] refuses items once closed, and
+//! [`DrrQueue::close_and_clear`] abandons the backlog for hard shutdown.
+//! Locks are poison-tolerant: a panicking worker must not wedge the queue
+//! for everyone else.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -66,11 +68,6 @@ impl<T> DrrQueue<T> {
         }
     }
 
-    /// Number of lanes the queue was built with.
-    pub fn num_lanes(&self) -> usize {
-        self.lock().lanes.len()
-    }
-
     /// Enqueue `item` on `lane`. Returns `false` (dropping nothing —
     /// the caller keeps the item) when the queue is closed or the lane
     /// does not exist.
@@ -106,13 +103,6 @@ impl<T> DrrQueue<T> {
                 .wait(state)
                 .unwrap_or_else(|e| e.into_inner());
         }
-    }
-
-    /// Non-blocking variant of [`DrrQueue::pop`]: `None` when empty,
-    /// whether or not the queue is closed.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut state = self.lock();
-        (state.len > 0).then(|| Self::pop_locked(&mut state))
     }
 
     fn pop_locked(state: &mut DrrState<T>) -> T {
@@ -327,5 +317,61 @@ mod tests {
         thread::sleep(Duration::from_millis(20));
         q.close();
         assert_eq!(popper.join().unwrap(), None);
+    }
+
+    #[test]
+    fn blocked_consumers_wake_on_close() {
+        let q: Arc<DrrQueue<u32>> = Arc::new(DrrQueue::new(&[1]));
+        let consumers: Vec<_> = (0..4)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || q.pop())
+            })
+            .collect();
+        thread::sleep(Duration::from_millis(20));
+        q.close();
+        for c in consumers {
+            assert_eq!(c.join().unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn many_producers_many_consumers_deliver_everything() {
+        let q: Arc<DrrQueue<u64>> = Arc::new(DrrQueue::new(&[1]));
+        let producers: Vec<_> = (0..4u64)
+            .map(|p| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    for i in 0..100 {
+                        assert!(q.push(0, p * 1000 + i));
+                    }
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = (0..4)
+            .map(|_| {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Some(x) = q.pop() {
+                        got.push(x);
+                    }
+                    got
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        q.close();
+        let mut all: Vec<u64> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect();
+        all.sort_unstable();
+        let expected: Vec<u64> = (0..4u64)
+            .flat_map(|p| (0..100).map(move |i| p * 1000 + i))
+            .collect();
+        assert_eq!(all, expected);
     }
 }

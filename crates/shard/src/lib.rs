@@ -20,9 +20,9 @@
 //!   per-tenant admission quotas, and DRR weights.
 //! - [`DrrQueue`] — a closeable blocking MPMC queue with one FIFO lane
 //!   per tenant, served deficit-round-robin by weight so a noisy tenant
-//!   cannot starve the others. It mirrors the semantics of the service's
-//!   plain `WorkQueue` (blocking `pop`, `close`, `close_and_clear`) so
-//!   the server can swap it in when tenancy is enabled.
+//!   cannot starve the others. It is every queue the server has: one
+//!   lane per tenant for jobs (one lane without tenants) and one lane
+//!   for connections.
 
 pub mod drr;
 pub mod plan;

@@ -125,45 +125,30 @@ fn repeated_graph_spec_hits_the_cache() {
 fn direction_jobs_validate_and_report_counters() {
     let (addr, handle) = start(None, 1);
 
-    // An unknown direction is rejected at submission.
-    let (status, response) = client::request(
+    // Scatter direction and segment size are engine-internal; a job body
+    // that still names them (older clients) is accepted, and the keys are
+    // ignored — even a direction no engine knows.
+    let id = submit(
         &addr,
-        "POST",
-        "/jobs",
-        Some(&json!({"algorithm": "PR", "size": 1000, "direction": "sideways"})),
-    )
-    .unwrap();
-    assert_eq!(status, 400, "bad direction accepted: {response}");
+        json!({
+            "algorithm": "PR",
+            "size": 2000,
+            "seed": 21,
+            "profile": "quick",
+            "direction": "sideways",
+            "segment_bytes": 4096,
+        }),
+    );
+    let done = client::wait_for_job(&addr, id, WAIT).unwrap();
+    assert_eq!(done["state"], "done", "job did not finish: {done}");
+    let iterations = done["iterations"].as_u64().unwrap();
+    assert!(iterations > 0);
 
-    // Forced push, forced pull, and auto all complete — and land on
-    // identical iteration counts, since direction never changes semantics.
-    let mut iteration_counts = Vec::new();
-    for dir in ["push", "pull", "auto"] {
-        let id = submit(
-            &addr,
-            json!({
-                "algorithm": "PR",
-                "size": 2000,
-                "seed": 21,
-                "profile": "quick",
-                "direction": dir,
-            }),
-        );
-        let done = client::wait_for_job(&addr, id, WAIT).unwrap();
-        assert_eq!(done["state"], "done", "direction {dir}: {done}");
-        iteration_counts.push(done["iterations"].as_u64().unwrap());
-    }
-    assert_eq!(iteration_counts[0], iteration_counts[1]);
-    assert_eq!(iteration_counts[0], iteration_counts[2]);
-
-    // The metrics split every executed iteration between push and pull,
-    // and the forced runs guarantee both counters moved.
+    // The metrics split every executed iteration between push and pull.
     let (_, metrics) = client::request(&addr, "GET", "/metrics", None).unwrap();
     let push = metrics["direction"]["push_iterations"].as_u64().unwrap();
     let pull = metrics["direction"]["pull_iterations"].as_u64().unwrap();
-    assert!(push > 0, "no push iterations recorded: {metrics}");
-    assert!(pull > 0, "no pull iterations recorded: {metrics}");
-    assert_eq!(push + pull, iteration_counts.iter().sum::<u64>());
+    assert_eq!(push + pull, iterations, "{metrics}");
     shutdown(&addr, handle);
 }
 
