@@ -116,7 +116,7 @@ impl VertexProgram for Als {
     }
 
     fn before_iteration(&self, iter: usize, _states: &[AlsState], global: &mut AlsGlobal) {
-        global.users_turn = iter % 2 == 0;
+        global.users_turn = iter.is_multiple_of(2);
     }
 
     fn apply(

@@ -83,9 +83,9 @@ impl DualDecomposition {
         let l = self.num_labels;
         let mut best = (0usize, 0usize);
         let mut best_score = f64::NEG_INFINITY;
-        for a in 0..l {
-            for b in 0..l {
-                let score = my[a] + theirs[b] + if a == b { lambda } else { 0.0 };
+        for (a, &mine) in my.iter().enumerate().take(l) {
+            for (b, &their) in theirs.iter().enumerate().take(l) {
+                let score = mine + their + if a == b { lambda } else { 0.0 };
                 if score > best_score {
                     best_score = score;
                     best = (a, b);
@@ -228,7 +228,7 @@ pub fn run_dd(mrf: &MrfGraph, config: &ExecutionConfig) -> (DdResult, RunTrace) 
         .map(|v| DdState {
             duals: vec![vec![0.0; mrf.num_labels]; g.degree(v)],
             label: 0,
-            disagreements: u32::MAX.min(1), // pretend disagreement so we don't halt at iter 0
+            disagreements: 1, // pretend disagreement so we don't halt at iter 0
         })
         .collect();
     let engine = SyncEngine::with_global(g, program, states, mrf.pairwise.clone(), ());

@@ -51,7 +51,7 @@ pub struct KMeans {
 impl KMeans {
     /// Standard configuration.
     pub fn new(k: usize) -> KMeans {
-        assert!(k >= 1 && k <= MAX_K, "k must be in 1..={MAX_K}");
+        assert!((1..=MAX_K).contains(&k), "k must be in 1..={MAX_K}");
         KMeans {
             k,
             reward_weight: 0.1,

@@ -213,7 +213,7 @@ impl VertexProgram for Lbp {
         let l = self.num_labels;
         let mut out = [0.0; MAX_LABELS];
         out[..l].fill(f64::NEG_INFINITY);
-        for target in 0..l {
+        for (target, best) in out.iter_mut().enumerate().take(l) {
             for source in 0..l {
                 let mut score = state.belief[source];
                 if let Some(rev) = reverse {
@@ -222,8 +222,8 @@ impl VertexProgram for Lbp {
                 if source == target {
                     score += self.smoothing;
                 }
-                if score > out[target] {
-                    out[target] = score;
+                if score > *best {
+                    *best = score;
                 }
             }
         }

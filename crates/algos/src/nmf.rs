@@ -88,10 +88,10 @@ impl VertexProgram for Nmf {
     ) {
         let Some(acc) = acc else { return };
         info.ops += FACTOR_DIM as u64;
-        for i in 0..FACTOR_DIM {
+        for (i, x) in state.iter_mut().enumerate() {
             // Multiplicative update preserves non-negativity by
             // construction (ratings and factors are non-negative).
-            state[i] *= acc.numerator[i] / (acc.denominator[i] + 1e-9);
+            *x *= acc.numerator[i] / (acc.denominator[i] + 1e-9);
         }
     }
 }

@@ -48,14 +48,10 @@ impl VertexProgram for ShortestPath {
     ) {
         info.ops += 1;
         match msg {
-            Some(&candidate) => {
-                if candidate < *state {
-                    *state = candidate;
-                }
-            }
+            Some(&candidate) if candidate < *state => *state = candidate,
             // First activation of the source carries no message.
             None if v == self.source => *state = 0.0,
-            None => {}
+            _ => {}
         }
     }
 

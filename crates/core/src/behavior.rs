@@ -72,8 +72,8 @@ impl BehaviorVector {
     #[inline]
     pub fn distance_to_point(&self, p: &[f64; DIMS]) -> f64 {
         let mut s = 0.0;
-        for i in 0..DIMS {
-            let d = self.0[i] - p[i];
+        for (a, b) in self.0.iter().zip(p) {
+            let d = a - b;
             s += d * d;
         }
         s.sqrt()

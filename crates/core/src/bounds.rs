@@ -40,8 +40,8 @@ pub fn spread_upper_bound(n: usize, seed: u64) -> f64 {
                             continue;
                         }
                         let mut d2 = 0.0;
-                        for k in 0..DIMS {
-                            let d = points[i][k] - points[j][k];
+                        for (a, b) in points[i].iter().zip(&points[j]) {
+                            let d = a - b;
                             d2 += d * d;
                         }
                         let d = d2.sqrt().max(1e-9);

@@ -15,8 +15,8 @@
 //! `u64`s: merging is bucket-wise addition (associative and commutative),
 //! and serde round-trips exactly.
 //!
-//! The histogram is value-unit agnostic; the service and load generator
-//! record **microseconds**.
+//! The histogram is value-unit agnostic; the service records
+//! **microseconds**.
 
 use serde::{Deserialize, Serialize};
 use serde_json::json;

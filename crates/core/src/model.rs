@@ -68,8 +68,9 @@ fn solve_dense(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
         // Eliminate below.
         for row in (col + 1)..n {
             let factor = a[row][col] / a[col][col];
-            for k in col..n {
-                a[row][k] -= factor * a[col][k];
+            let (upper, lower) = a.split_at_mut(row);
+            for (x, p) in lower[0][col..n].iter_mut().zip(&upper[col][col..n]) {
+                *x -= factor * p;
             }
             b[row] -= factor * b[col];
         }

@@ -606,9 +606,9 @@ mod tests {
             db
         };
         let full = sample_db();
-        std::fs::write(&tmp_path_for(&path), serde_json::to_string(&small).unwrap()).unwrap();
-        std::fs::write(&tmp_path_for(&path), serde_json::to_string(&full).unwrap()).unwrap();
-        std::fs::write(&tmp_path_for(&path), "also corrupt").unwrap();
+        std::fs::write(tmp_path_for(&path), serde_json::to_string(&small).unwrap()).unwrap();
+        std::fs::write(tmp_path_for(&path), serde_json::to_string(&full).unwrap()).unwrap();
+        std::fs::write(tmp_path_for(&path), "also corrupt").unwrap();
         let (back, recovered) = RunDb::load_or_recover(&path).unwrap();
         assert!(recovered);
         assert_eq!(back, full);

@@ -278,8 +278,8 @@ pub fn top_k_ensembles(
     let mut beam: Vec<Vec<usize>> = Vec::new();
     {
         let mut seen = std::collections::HashSet::new();
-        for i in 0..n {
-            if seen.insert(sigs[i]) {
+        for (i, &sig) in sigs.iter().enumerate() {
+            if seen.insert(sig) {
                 beam.push(vec![i]);
             }
         }

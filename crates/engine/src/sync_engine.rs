@@ -96,6 +96,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// What a run returns: the final vertex states, the final global value and
+/// the behavior trace.
+pub type RunOutput<P> = (
+    Vec<<P as VertexProgram>::State>,
+    <P as VertexProgram>::Global,
+    RunTrace,
+);
+
 /// How the engine represents and walks the active set each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FrontierMode {
@@ -615,7 +623,7 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
     }
 
     /// Like [`SyncEngine::run`] but also returns the final global value.
-    pub fn run_with_global(self, config: &ExecutionConfig) -> (Vec<P::State>, P::Global, RunTrace) {
+    pub fn run_with_global(self, config: &ExecutionConfig) -> RunOutput<P> {
         self.run_core(config, None, &mut |_| {})
     }
 
@@ -629,7 +637,7 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
         config: &ExecutionConfig,
         resume: Option<ResumeState<P>>,
         observer: &mut dyn FnMut(BoundaryView<'_, P>),
-    ) -> (Vec<P::State>, P::Global, RunTrace) {
+    ) -> RunOutput<P> {
         let n = self.graph.num_vertices();
         let m = self.graph.num_edges();
         let mut trace = RunTrace {
@@ -1397,10 +1405,7 @@ where
     }
 
     /// [`SyncEngine::run_resumable`] returning the final global value too.
-    pub fn run_resumable_with_global(
-        self,
-        config: &ExecutionConfig,
-    ) -> (Vec<P::State>, P::Global, RunTrace) {
+    pub fn run_resumable_with_global(self, config: &ExecutionConfig) -> RunOutput<P> {
         let Some(policy) = config.checkpoint.clone() else {
             return self.run_core(config, None, &mut |_| {});
         };
@@ -1432,7 +1437,7 @@ where
         self,
         config: &ExecutionConfig,
         ckpt: EngineCheckpoint<P::State, P::Message, P::Global>,
-    ) -> Result<(Vec<P::State>, P::Global, RunTrace), CheckpointError> {
+    ) -> Result<RunOutput<P>, CheckpointError> {
         ckpt.validate(self.graph.num_vertices(), self.graph.num_edges())?;
         Ok(match config.checkpoint.clone() {
             Some(policy) => self.run_checkpointed(config, &policy, Some(ckpt)),
@@ -1449,11 +1454,11 @@ where
         config: &ExecutionConfig,
         policy: &CheckpointPolicy,
         resume: Option<EngineCheckpoint<P::State, P::Message, P::Global>>,
-    ) -> (Vec<P::State>, P::Global, RunTrace) {
+    ) -> RunOutput<P> {
         let num_vertices = self.graph.num_vertices() as u64;
         let num_edges = self.graph.num_edges() as u64;
         let mut observer = |b: BoundaryView<'_, P>| {
-            if policy.every == 0 || b.completed_iterations % policy.every != 0 {
+            if policy.every == 0 || !b.completed_iterations.is_multiple_of(policy.every) {
                 return;
             }
             let ckpt = EngineCheckpoint {

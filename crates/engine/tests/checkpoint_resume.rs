@@ -90,7 +90,7 @@ fn test_graph() -> Graph {
 }
 
 fn initial_states(g: &Graph) -> Vec<u32> {
-    g.vertices().map(|v| v as u32).collect()
+    g.vertices().collect()
 }
 
 fn ckpt_dir(tag: &str) -> PathBuf {

@@ -16,6 +16,9 @@ use serde::{Deserialize, Serialize};
 pub type VertexId = u32;
 /// Index of an edge into the canonical edge list. Dense in `0..num_edges`.
 pub type EdgeId = u32;
+/// A compressed graph's raw arrays for one direction: `(slot_offsets,
+/// byte_offsets, varint_data, edge_ids)`.
+pub type CompressedSlices<'a> = (&'a [u64], &'a [u64], &'a [u8], &'a [EdgeId]);
 
 /// Which adjacency index to traverse.
 ///
@@ -608,7 +611,7 @@ impl Graph {
     /// varint_data, edge_ids)`; `None` for plain graphs. The serializer
     /// counterpart of [`Graph::csr_slices`].
     #[inline]
-    pub fn compressed_slices(&self, dir: Direction) -> Option<(&[u64], &[u64], &[u8], &[EdgeId])> {
+    pub fn compressed_slices(&self, dir: Direction) -> Option<CompressedSlices<'_>> {
         let adj = self.adj(dir);
         match &adj.neighbors {
             NeighborStore::Plain(_) => None,

@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn checked_decode_rejects_out_of_range() {
         let mut buf = Vec::new();
-        encode_row([10u32, 20].into_iter(), &mut buf);
+        encode_row([10u32, 20], &mut buf);
         assert!(decode_row_checked(&buf, 2, 21, true).is_ok());
         assert!(decode_row_checked(&buf, 2, 20, true).is_err());
     }
@@ -349,7 +349,7 @@ mod tests {
     #[test]
     fn checked_decode_rejects_truncation_and_trailing_bytes() {
         let mut buf = Vec::new();
-        encode_row([300u32, 600].into_iter(), &mut buf);
+        encode_row([300u32, 600], &mut buf);
         assert!(decode_row_checked(&buf[..buf.len() - 1], 2, 1000, true).is_err());
         let mut extended = buf.clone();
         extended.push(0);
@@ -359,7 +359,7 @@ mod tests {
     #[test]
     fn checked_decode_rejects_zero_gap_when_strict() {
         let mut buf = Vec::new();
-        encode_row([7u32, 7].into_iter(), &mut buf);
+        encode_row([7u32, 7], &mut buf);
         assert!(decode_row_checked(&buf, 2, 10, true).is_err());
         assert!(decode_row_checked(&buf, 2, 10, false).is_ok());
     }
@@ -438,7 +438,7 @@ mod tests {
         // A row claiming 5 ids but holding only 2: the batch decoder must
         // stay in bounds and fill deterministically, like RowDecoder.
         let mut buf = Vec::new();
-        encode_row([3u32, 9].into_iter(), &mut buf);
+        encode_row([3u32, 9], &mut buf);
         let end = buf.len();
         buf.resize(padded_payload_len(end), 0);
         let mut out = Vec::new();

@@ -20,7 +20,10 @@ use std::fmt::Write as _;
 /// Partition counts examined (48 = the paper's cluster size).
 const CLUSTER_SIZES: [u32; 3] = [2, 8, 48];
 
-fn partitioners() -> Vec<(&'static str, fn(&Graph, u32) -> Vec<u32>)> {
+/// Assigns each vertex of a graph to one of `p` partitions.
+type Partitioner = fn(&Graph, u32) -> Vec<u32>;
+
+fn partitioners() -> Vec<(&'static str, Partitioner)> {
     vec![
         ("hash", |g, p| hash_partition(g.num_vertices(), p)),
         ("range", range_partition),

@@ -267,8 +267,8 @@ fn fig13_all_algorithms(db: &RunDb, metric: WorkMetric) -> String {
         let idx = db.indices_of_algorithm(&alg);
         let mut mean = [0.0f64; 4];
         for &i in &idx {
-            for k in 0..4 {
-                mean[k] += behaviors[i].0[k];
+            for (m, x) in mean.iter_mut().zip(&behaviors[i].0) {
+                *m += x;
             }
         }
         for m in &mut mean {
@@ -599,7 +599,7 @@ fn top100_frequency(
         .iter()
         .map(|a| (a.to_string(), freq.get(*a).copied().unwrap_or(0)))
         .collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1));
+    rows.sort_by_key(|r| std::cmp::Reverse(r.1));
     for (alg, count) in rows {
         let _ = writeln!(s, "{alg:<7} {count:>5}");
     }

@@ -13,10 +13,6 @@
 //! graphmine serve   [--addr HOST:PORT] [--workers N] [--cache-mb MB] [--db PATH]
 //!                   [--retry-budget N] [--max-queue-depth N] [--spill-dir DIR]
 //!                   [--graph-dir DIR] [--shards N] [--tenants-file PATH]
-//! graphmine loadgen [--addr HOST:PORT | --spawn] [--mode open|closed] [--rate R]
-//!                   [--duration 5s] [--seed N] [--sweep R1,R2,...]
-//!                   [--tenants N] [--noisy-factor F] [--tenant-quota Q]
-//!                   [--slo-p99-ms MS] [--json PATH] [--fail-on-errors]
 //! graphmine graph   pack|inspect|verify ...          # binary store files
 //! graphmine list
 //! ```
@@ -27,7 +23,6 @@
 //! user-supplied edge list and places it next to the study's runs.
 
 mod graph_cli;
-mod loadgen_cli;
 
 use graphmine_core::WorkMetric;
 use graphmine_graph::Representation;
@@ -191,23 +186,17 @@ fn usage() -> String {
          \x20      graphmine serve [--addr HOST:PORT] [--workers N] [--cache-mb MB] [--db PATH]\n\
          \x20                      [--retry-budget N] [--max-queue-depth N] [--spill-dir DIR]\n\
          \x20                      [--graph-dir DIR] [--shards N] [--tenants-file PATH]\n\
-         \x20      graphmine loadgen [--spawn | --addr HOST:PORT] [--mode open|closed] [--rate R]\n\
-         \x20                      [--duration 5s] [--sweep R1,R2,...] [--slo-p99-ms MS] [--json PATH]\n\
-         \x20                      [--tenants N] [--noisy-factor F] [--tenant-quota Q] [--tenants-file PATH]\n\
          \x20      graphmine graph pack|inspect|verify ...\n\
-         commands: run, all, list, predict, analyze, export, cluster, correlations, plot, serve, loadgen, graph, {}",
+         commands: run, all, list, predict, analyze, export, cluster, correlations, plot, serve, graph, {}",
         FIGURE_IDS.join(", ")
     )
 }
 
 fn main() -> ExitCode {
-    // `loadgen` and `graph` have their own flag sets; dispatch before the
-    // shared parser.
+    // `graph` has its own flag set; dispatch before the shared parser.
     let mut raw = std::env::args().skip(1);
-    match raw.next().as_deref() {
-        Some("loadgen") => return loadgen_cli::main(raw),
-        Some("graph") => return graph_cli::main(raw),
-        _ => {}
+    if raw.next().as_deref() == Some("graph") {
+        return graph_cli::main(raw);
     }
     let args = match parse_args() {
         Ok(a) => a,

@@ -211,7 +211,7 @@ pub fn workload_resident_bytes(workload: &Workload) -> u64 {
     let graph = workload.graph();
     let v = graph.num_vertices() as u64;
     let e = graph.num_edges() as u64;
-    let topology = graph.topology_heap_bytes() as u64;
+    let topology = graph.topology_heap_bytes();
     let payload = match workload {
         // Per-edge f64 weights + per-vertex [f64; 2] points.
         Workload::PowerLaw { .. } => e * 8 + v * 16,

@@ -1,13 +1,13 @@
 //! A small blocking JSON client for the service's HTTP subset — used by
-//! the integration tests, the bench harness, the load generator, and
-//! anything that wants to drive a server programmatically without
-//! shelling out to curl.
+//! the server's own tests and the integration tests (`tests/service.rs`,
+//! `tests/chaos.rs`) to drive a server programmatically without shelling
+//! out to curl.
 //!
 //! [`Client`] holds one kept-alive TCP connection and reuses it across
 //! requests (`Connection: keep-alive`), reconnecting transparently when
 //! the server closes it — idle timeout, per-connection request cap, or a
-//! restart. Connection reuse matters at load-generation rates: a fresh
-//! TCP handshake per request both caps throughput and perturbs the very
+//! restart. Connection reuse matters under load: a fresh TCP
+//! handshake per request both caps throughput and perturbs the very
 //! latencies being measured. The module-level [`request`] and
 //! [`wait_for_job`] helpers remain for one-shot call sites.
 
@@ -15,6 +15,9 @@ use serde_json::Value;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
+
+/// Per-request read/write timeout on the client's socket.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A parsed response: status, JSON body, and the `Retry-After` seconds
 /// advertised by admission-control 429s (absent otherwise).
@@ -33,7 +36,6 @@ pub struct Response {
 pub struct Client {
     addr: String,
     stream: Option<TcpStream>,
-    read_timeout: Duration,
     api_key: Option<String>,
 }
 
@@ -44,33 +46,21 @@ impl Client {
         Client {
             addr: addr.to_string(),
             stream: None,
-            read_timeout: Duration::from_secs(30),
             api_key: None,
         }
     }
 
-    /// Override the per-request read/write timeout (default 30 s).
-    pub fn with_timeout(mut self, timeout: Duration) -> Client {
-        self.read_timeout = timeout;
-        self
-    }
-
     /// Attach a tenant API key, sent as `X-Api-Key` on every request.
     pub fn with_api_key(mut self, key: &str) -> Client {
-        self.set_api_key(Some(key));
+        self.api_key = Some(key.to_string());
         self
-    }
-
-    /// Set or clear the tenant API key on an existing client.
-    pub fn set_api_key(&mut self, key: Option<&str>) {
-        self.api_key = key.map(str::to_string);
     }
 
     fn connect(&mut self) -> io::Result<&mut TcpStream> {
         if self.stream.is_none() {
             let stream = TcpStream::connect(&self.addr)?;
-            stream.set_read_timeout(Some(self.read_timeout))?;
-            stream.set_write_timeout(Some(self.read_timeout))?;
+            stream.set_read_timeout(Some(TIMEOUT))?;
+            stream.set_write_timeout(Some(TIMEOUT))?;
             stream.set_nodelay(true).ok();
             self.stream = Some(stream);
         }

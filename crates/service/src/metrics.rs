@@ -61,8 +61,8 @@ pub struct Metrics {
 /// Log-bucketed latency histograms (microseconds) for each stage of a
 /// job's life, recorded where `job.rs` stamps its stage boundaries:
 /// enqueue → dequeue → cache-resolve → execute → respond. Exported in
-/// full by `/metrics` so external tools (the load generator) can diff
-/// snapshots and compute exact window percentiles.
+/// full by `/metrics` so external tools can diff snapshots and compute
+/// exact window percentiles.
 #[derive(Debug, Default)]
 pub struct StageHistograms {
     /// Submission to worker pickup (enqueue → dequeue).

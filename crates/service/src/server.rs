@@ -264,7 +264,7 @@ impl ServiceState {
             return;
         }
         if let Some(path) = &self.config.db_path {
-            if completed_total % every == 0 {
+            if completed_total.is_multiple_of(every) {
                 // Chaos tests inject I/O faults at the persistence site to
                 // prove a skipped save is recovered from the journal.
                 if let Some(plan) = &self.config.fault_plan {
@@ -645,7 +645,7 @@ fn http_loop(state: &Arc<ServiceState>) {
 
 /// How long a kept-alive connection may sit idle between requests before
 /// the handler closes it. Short, because each idle kept-alive socket
-/// occupies a blocking HTTP worker; steady pollers and load-generator
+/// occupies a blocking HTTP worker; steady pollers and benchmark
 /// clients send well within this window and reconnect transparently if
 /// they don't.
 const KEEP_ALIVE_IDLE: Duration = Duration::from_millis(1_000);
@@ -2165,7 +2165,7 @@ mod tests {
             .send_raw(
                 "POST",
                 "/graphs/ring/chunks?seq=0",
-                edges[..half].as_bytes(),
+                &edges.as_bytes()[..half],
             )
             .unwrap();
         assert_eq!(r.status, 200, "{}", r.body);
@@ -2180,7 +2180,7 @@ mod tests {
             .send_raw(
                 "POST",
                 "/graphs/ring/chunks?seq=0",
-                edges[..half].as_bytes(),
+                &edges.as_bytes()[..half],
             )
             .unwrap();
         assert_eq!(dup.status, 200);
@@ -2189,7 +2189,7 @@ mod tests {
             .send_raw(
                 "POST",
                 "/graphs/ring/chunks?seq=1",
-                edges[half..].as_bytes(),
+                &edges.as_bytes()[half..],
             )
             .unwrap();
         assert_eq!(r.status, 200, "{}", r.body);

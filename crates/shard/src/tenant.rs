@@ -46,9 +46,9 @@ impl TenantSpec {
     }
 
     /// Deterministically derived tenant `index`: id `tenant-<index>` and
-    /// a key derived by SplitMix64. The load generator and the in-process
-    /// smoke servers derive the same specs from the same indices, so no
-    /// tenants file needs to change hands.
+    /// a key derived by SplitMix64. The benchmark's clients and the
+    /// in-process test servers derive the same specs from the same indices,
+    /// so no tenants file needs to change hands.
     pub fn derived(index: usize) -> TenantSpec {
         TenantSpec::new(
             format!("tenant-{index}"),

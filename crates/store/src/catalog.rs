@@ -152,6 +152,19 @@ impl Catalog {
     }
 }
 
+fn entry_from(name: &str, stored: &StoredGraph) -> CatalogEntry {
+    CatalogEntry {
+        name: name.to_string(),
+        path: stored.path().to_path_buf(),
+        num_vertices: stored.header().num_vertices,
+        num_edges: stored.header().num_edges,
+        directed: stored.header().flags & crate::format::FLAG_DIRECTED != 0,
+        class: stored.meta().class.clone(),
+        fingerprint: stored.fingerprint(),
+        file_bytes: stored.file_len(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,18 +257,5 @@ mod tests {
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0].name, "good");
         fs::remove_dir_all(&root).ok();
-    }
-}
-
-fn entry_from(name: &str, stored: &StoredGraph) -> CatalogEntry {
-    CatalogEntry {
-        name: name.to_string(),
-        path: stored.path().to_path_buf(),
-        num_vertices: stored.header().num_vertices,
-        num_edges: stored.header().num_edges,
-        directed: stored.header().flags & crate::format::FLAG_DIRECTED != 0,
-        class: stored.meta().class.clone(),
-        fingerprint: stored.fingerprint(),
-        file_bytes: stored.file_len(),
     }
 }

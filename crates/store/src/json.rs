@@ -97,9 +97,7 @@ fn raw_value<'a>(json: &'a str, key: &str) -> Option<&'a str> {
                 }
                 return None;
             }
-            let end = rest
-                .find(|c: char| c == ',' || c == '}')
-                .unwrap_or(rest.len());
+            let end = rest.find([',', '}']).unwrap_or(rest.len());
             return Some(rest[..end].trim_end());
         }
         // The needle matched inside a string value; keep looking.

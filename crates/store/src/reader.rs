@@ -309,7 +309,7 @@ impl StoredGraph {
     ) -> Result<SharedSlice<T>, StoreError> {
         let bytes = self.section_payload(entry);
         let width = std::mem::size_of::<T>();
-        if width == 0 || bytes.len() % width != 0 {
+        if width == 0 || !bytes.len().is_multiple_of(width) {
             return Err(StoreError::Corrupt(format!(
                 "section `{}` length {} not a multiple of {width}",
                 entry.name,
@@ -318,7 +318,7 @@ impl StoredGraph {
         }
         let len = bytes.len() / width;
         let ptr = bytes.as_ptr() as *const T;
-        if ptr as usize % std::mem::align_of::<T>() == 0 {
+        if (ptr as usize).is_multiple_of(std::mem::align_of::<T>()) {
             let keep: SliceKeeper = self.mapping.clone();
             // SAFETY: `ptr..ptr+len` lies inside the mapping, which `keep`
             // holds alive; the region is immutable; `T` is plain old data

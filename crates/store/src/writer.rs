@@ -36,36 +36,11 @@ pub struct SectionData<'a> {
     pub bytes: Cow<'a, [u8]>,
 }
 
-/// Write a complete store file atomically. Returns the content
-/// fingerprint recorded in the header.
-pub fn write_store(
-    path: &Path,
-    directed: bool,
-    sorted_rows: bool,
-    compressed: bool,
-    num_vertices: u64,
-    num_edges: u64,
-    workload_class: u32,
-    sections: &[SectionData<'_>],
-) -> Result<u64, StoreError> {
-    write_store_with(
-        path,
-        directed,
-        sorted_rows,
-        compressed,
-        num_vertices,
-        num_edges,
-        workload_class,
-        sections,
-        &IoShim::disabled(),
-    )
-}
-
-/// [`write_store`] with an explicit [`IoShim`] through which the file
-/// hits disk. The disabled shim streams sections straight to the temp
-/// sibling (no whole-file buffer); an armed shim assembles the file in
-/// memory so byte-level faults (torn write, bit flip, stale rename) can be
-/// applied to the exact on-disk image.
+/// Write a complete store file atomically through `shim`. Returns the
+/// content fingerprint recorded in the header. The disabled shim streams
+/// sections straight to the temp sibling (no whole-file buffer); an armed
+/// shim assembles the file in memory so byte-level faults (torn write, bit
+/// flip, stale rename) can be applied to the exact on-disk image.
 #[allow(clippy::too_many_arguments)]
 pub fn write_store_with(
     path: &Path,

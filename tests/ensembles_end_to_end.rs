@@ -160,7 +160,7 @@ fn claim_useful_algorithms_appear_in_top_sets() {
         .iter()
         .map(|a| (*a, freq.get(*a).copied().unwrap_or(0)))
         .collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1));
+    ranked.sort_by_key(|r| std::cmp::Reverse(r.1));
     let top3: Vec<&str> = ranked[..3].iter().map(|(a, _)| *a).collect();
     assert!(
         top3.iter().any(|a| ["KM", "ALS", "TC"].contains(a)),

@@ -1,10 +1,16 @@
 //! End-to-end tests of the benchmark-job service over real TCP sockets:
 //! submission, polling, caching, cancellation, timeouts, concurrent mixed
-//! workloads, ensemble search parity with the offline library, and
+//! workloads (single- and multi-tenant), stored graphs in both
+//! representations, ensemble search parity with the offline library, and
 //! graceful shutdown with a durable run database.
 
+use graphmine_algos::{run_algorithm, AlgorithmKind, SuiteConfig, Workload};
 use graphmine_core::{best_spread_ensemble, RunDb, WorkMetric};
+use graphmine_engine::ExecutionConfig;
+use graphmine_graph::Representation;
 use graphmine_service::{client, Server, ServerHandle, ServiceConfig};
+use graphmine_shard::TenantSpec;
+use graphmine_store::pack_workload;
 use serde_json::{json, Value};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -19,8 +25,8 @@ fn temp_db(name: &str) -> PathBuf {
     path
 }
 
-fn start(db_path: Option<PathBuf>, workers: usize) -> (String, ServerHandle) {
-    let handle = Server::start(ServiceConfig {
+fn config(db_path: Option<PathBuf>, workers: usize) -> ServiceConfig {
+    ServiceConfig {
         addr: "127.0.0.1:0".to_string(),
         workers,
         http_workers: 4,
@@ -29,9 +35,16 @@ fn start(db_path: Option<PathBuf>, workers: usize) -> (String, ServerHandle) {
         default_timeout_ms: 120_000,
         persist_every: 1,
         ..ServiceConfig::default()
-    })
-    .expect("server failed to bind");
+    }
+}
+
+fn start_with(config: ServiceConfig) -> (String, ServerHandle) {
+    let handle = Server::start(config).expect("server failed to bind");
     (handle.addr().to_string(), handle)
+}
+
+fn start(db_path: Option<PathBuf>, workers: usize) -> (String, ServerHandle) {
+    start_with(config(db_path, workers))
 }
 
 fn submit(addr: &str, body: Value) -> u64 {
@@ -153,9 +166,83 @@ fn direction_jobs_validate_and_report_counters() {
 }
 
 #[test]
-fn eight_concurrent_clients_mixed_algorithms() {
-    let db_path = temp_db("concurrent");
-    let (addr, handle) = start(Some(db_path.clone()), 4);
+fn stored_graphs_serve_plain_and_compressed_like_the_direct_run() {
+    let dir = std::env::temp_dir().join(format!("graphmine_service_graphs_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // What `graphmine graph pack --class powerlaw --size 2000 --seed 1
+    // [--representation compressed]` writes.
+    let plain = Workload::powerlaw(2_000, 2.5, 1);
+    let compressed = plain
+        .with_representation(Representation::Compressed)
+        .unwrap();
+    pack_workload(&dir.join("plain.gmg"), &plain, "synthetic:powerlaw", 1).unwrap();
+    pack_workload(
+        &dir.join("packed.gmg"),
+        &compressed,
+        "synthetic:powerlaw",
+        1,
+    )
+    .unwrap();
+    // A job without a profile runs under the default profile's cap of 200.
+    let direct = run_algorithm(
+        AlgorithmKind::Pr,
+        &plain,
+        &SuiteConfig {
+            exec: ExecutionConfig::with_max_iterations(200),
+            ..SuiteConfig::default()
+        },
+    )
+    .unwrap();
+
+    let (addr, handle) = start_with(ServiceConfig {
+        graph_dir: Some(dir.clone()),
+        ..config(None, 2)
+    });
+    for (graph, representation) in [("plain", "plain"), ("packed", "compressed")] {
+        let id = submit(
+            &addr,
+            json!({"algorithm": "PR", "graph": graph, "representation": representation}),
+        );
+        let done = client::wait_for_job(&addr, id, WAIT).unwrap();
+        assert_eq!(done["state"], "done", "{graph}: {done}");
+        assert_eq!(
+            done["iterations"].as_u64(),
+            Some(direct.num_iterations() as u64),
+            "{graph}: {done}"
+        );
+        assert_eq!(
+            done["converged"].as_bool(),
+            Some(direct.converged),
+            "{graph}: {done}"
+        );
+    }
+    // Both files loaded as written: no rebuild from the edge list, no
+    // fallback from compressed rows to plain ones.
+    let (_, metrics) = client::request(&addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(metrics["store"]["graphs"], 2, "{metrics}");
+    assert_eq!(metrics["robustness"]["store_rebuilds"], 0, "{metrics}");
+    assert_eq!(
+        metrics["robustness"]["compressed_fallbacks"], 0,
+        "{metrics}"
+    );
+    shutdown(&addr, handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Eight client threads, one per algorithm, submit three jobs each and
+/// wait for all of them. With `tenants > 0` the server runs multi-tenant
+/// and client `i` submits as derived tenant `i % tenants`; every reply
+/// must carry the submitter's tenant, and `/metrics` must slice the jobs
+/// by tenant.
+fn eight_concurrent_clients(db_name: &str, tenants: usize) {
+    let db_path = temp_db(db_name);
+    let specs: Vec<TenantSpec> = (0..tenants).map(TenantSpec::derived).collect();
+    let keys: Vec<String> = specs.iter().map(|s| s.key.clone()).collect();
+    let (addr, handle) = start_with(ServiceConfig {
+        tenants: (tenants > 0).then_some(specs),
+        ..config(Some(db_path.clone()), 4)
+    });
     let algorithms = ["CC", "PR", "KC", "SSSP", "AD", "KM", "ALS", "Jacobi"];
 
     let clients: Vec<_> = algorithms
@@ -164,23 +251,31 @@ fn eight_concurrent_clients_mixed_algorithms() {
         .map(|(i, alg)| {
             let addr = addr.clone();
             let alg = alg.to_string();
+            let tenant = (tenants > 0).then(|| i % tenants);
+            let key = tenant.map(|t| keys[t].clone());
             std::thread::spawn(move || {
+                let mut c = client::Client::new(&addr);
+                if let Some(key) = &key {
+                    c = c.with_api_key(key);
+                }
+                let want = tenant.map(|t| format!("tenant-{t}"));
                 let mut ids = Vec::new();
                 for j in 0..3u64 {
-                    let id = submit(
-                        &addr,
-                        json!({
-                            "algorithm": alg,
-                            "size": 1500,
-                            "seed": i as u64 * 10 + j,
-                            "profile": "quick",
-                        }),
-                    );
-                    ids.push(id);
+                    let job = json!({
+                        "algorithm": alg,
+                        "size": 1500,
+                        "seed": i as u64 * 10 + j,
+                        "profile": "quick",
+                    });
+                    let (status, body) = c.request("POST", "/jobs", Some(&job)).unwrap();
+                    assert_eq!(status, 202, "submission rejected: {body}");
+                    assert_eq!(body["tenant"].as_str(), want.as_deref(), "{body}");
+                    ids.push(body["id"].as_u64().unwrap());
                 }
                 for id in ids {
-                    let terminal = client::wait_for_job(&addr, id, WAIT).unwrap();
+                    let terminal = client::wait_for_job_with(&mut c, id, WAIT).unwrap();
                     assert_eq!(terminal["state"], "done", "job {id}: {terminal}");
+                    assert_eq!(terminal["tenant"].as_str(), want.as_deref(), "{terminal}");
                 }
             })
         })
@@ -194,6 +289,17 @@ fn eight_concurrent_clients_mixed_algorithms() {
     assert_eq!(metrics["jobs"]["done"], 24);
     assert_eq!(metrics["jobs"]["failed"], 0);
     assert_eq!(metrics["db_runs"], 24);
+    if tenants > 0 {
+        let per = metrics["tenants"]["per_tenant"].as_array().unwrap();
+        assert_eq!(per.len(), tenants, "{metrics}");
+        for (t, row) in per.iter().enumerate() {
+            assert_eq!(row["id"], format!("tenant-{t}"));
+            assert!(row["jobs"]["done"].as_u64().unwrap() >= 1, "{row}");
+            let total = &row["stages"]["total"]["summary"];
+            assert!(total["count"].as_u64().unwrap() >= 1, "{row}");
+            assert!(total["p99_us"].as_u64().unwrap() > 0, "{row}");
+        }
+    }
 
     shutdown(&addr, handle);
     // Per-job persistence under concurrency never corrupted the database.
@@ -203,6 +309,16 @@ fn eight_concurrent_clients_mixed_algorithms() {
     seen.sort_unstable();
     seen.dedup();
     assert_eq!(seen.len(), algorithms.len());
+}
+
+#[test]
+fn eight_concurrent_clients_mixed_algorithms() {
+    eight_concurrent_clients("concurrent", 0);
+}
+
+#[test]
+fn eight_concurrent_clients_across_four_tenants() {
+    eight_concurrent_clients("concurrent_tenants", 4);
 }
 
 #[test]

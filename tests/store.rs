@@ -287,8 +287,9 @@ fn legacy_unpadded_v2_files_still_open_and_run_identically() {
     // payloads that end exactly at their logical length. They must keep
     // opening, verifying, and producing bit-identical results — interior
     // rows batch-decode, the unguarded tail falls back to the scalar path.
+    use graphmine_engine::IoShim;
     use graphmine_store::format::{FLAG_DIRECTED, FLAG_SORTED_ROWS, FORMAT_VERSION_COMPRESSED};
-    use graphmine_store::writer::{write_store, SectionData};
+    use graphmine_store::writer::{write_store_with, SectionData};
     use std::borrow::Cow;
 
     let dir = temp_dir("legacy-v2");
@@ -324,7 +325,7 @@ fn legacy_unpadded_v2_files_still_open_and_run_identically() {
             });
         }
         let h = *stored.header();
-        write_store(
+        write_store_with(
             &v2_path,
             h.flags & FLAG_DIRECTED != 0,
             h.flags & FLAG_SORTED_ROWS != 0,
@@ -333,6 +334,7 @@ fn legacy_unpadded_v2_files_still_open_and_run_identically() {
             h.num_edges,
             h.workload_class,
             &sections,
+            &IoShim::disabled(),
         )
         .unwrap();
         let mut header = *StoredGraph::open(&v2_path).unwrap().header();
