@@ -185,7 +185,7 @@ pub fn run_adiam(graph: &Graph, config: &ExecutionConfig) -> (DiameterEstimate, 
         .collect();
     let program = ApproxDiameter::new();
     let edge_data = vec![(); graph.num_edges()];
-    let engine = SyncEngine::with_global(graph, program, states, edge_data, ());
+    let engine = SyncEngine::with_global(graph, program, states, &edge_data, ());
     let (final_states, trace) = engine.run_resumable(config);
     let nf = ApproxDiameter::neighborhood_function(&final_states);
     // Diameter ≈ iterations until the neighborhood function stabilized; the

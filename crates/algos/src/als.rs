@@ -167,12 +167,6 @@ impl VertexProgram for Als {
     }
 
     fn combine(&self, _into: &mut (), _from: ()) {}
-
-    /// Unit messages carry no data, so combine order is vacuously
-    /// irrelevant and the pull path is always safe.
-    fn combine_commutative(&self) -> bool {
-        true
-    }
 }
 
 /// Deterministic small pseudo-random factor initialization.
@@ -206,7 +200,7 @@ pub fn run_als_with(
         })
         .collect();
     let (finals, trace) =
-        SyncEngine::new(&rg.graph, program, states, rg.ratings.clone()).run_resumable(config);
+        SyncEngine::new(&rg.graph, program, states, &rg.ratings).run_resumable(config);
     (finals.into_iter().map(|s| s.factor).collect(), trace)
 }
 

@@ -66,12 +66,6 @@ impl VertexProgram for ConnectedComponents {
     fn combine(&self, into: &mut u32, from: u32) {
         *into = (*into).min(from);
     }
-
-    /// Integer minimum: any fold order gives the same bits, so the engine
-    /// may run the pull path in `Auto` mode.
-    fn combine_commutative(&self) -> bool {
-        true
-    }
 }
 
 /// Run CC on an undirected graph. Returns per-vertex component labels (the
@@ -79,7 +73,7 @@ impl VertexProgram for ConnectedComponents {
 pub fn run_cc(graph: &Graph, config: &ExecutionConfig) -> (Vec<u32>, RunTrace) {
     let states: Vec<u32> = (0..graph.num_vertices() as u32).collect();
     let edge_data = vec![(); graph.num_edges()];
-    SyncEngine::new(graph, ConnectedComponents, states, edge_data).run_resumable(config)
+    SyncEngine::new(graph, ConnectedComponents, states, &edge_data).run_resumable(config)
 }
 
 #[cfg(test)]

@@ -231,7 +231,7 @@ pub fn run_dd(mrf: &MrfGraph, config: &ExecutionConfig) -> (DdResult, RunTrace) 
             disagreements: 1, // pretend disagreement so we don't halt at iter 0
         })
         .collect();
-    let engine = SyncEngine::with_global(g, program, states, mrf.pairwise.clone(), ());
+    let engine = SyncEngine::with_global(g, program, states, &mrf.pairwise, ());
     let (finals, trace) = engine.run_resumable(config);
     let labels: Vec<usize> = finals.iter().map(|s| s.label).collect();
     let energy = mrf_energy(mrf, &labels);

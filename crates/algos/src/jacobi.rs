@@ -111,13 +111,7 @@ pub fn run_jacobi(system: &MatrixSystem, config: &ExecutionConfig) -> (Vec<f64>,
         n
     ];
     let program = Jacobi::new(system, 1e-10);
-    let engine = SyncEngine::with_global(
-        &system.graph,
-        program,
-        states,
-        system.off_diagonal.clone(),
-        (),
-    );
+    let engine = SyncEngine::with_global(&system.graph, program, states, &system.off_diagonal, ());
     let (finals, trace) = engine.run_resumable(config);
     (finals.into_iter().map(|s| s.x).collect(), trace)
 }

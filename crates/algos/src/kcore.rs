@@ -99,12 +99,6 @@ impl VertexProgram for KCorePhase {
     fn combine(&self, into: &mut u32, from: u32) {
         *into += from;
     }
-
-    /// Integer addition: any fold order gives the same bits, so the engine
-    /// may run the pull path in `Auto` mode.
-    fn combine_commutative(&self) -> bool {
-        true
-    }
 }
 
 /// Run the full K-Core decomposition. Returns per-vertex core numbers and
@@ -144,7 +138,7 @@ pub fn run_kcore(graph: &Graph, config: &ExecutionConfig) -> (Vec<u32>, RunTrace
             break;
         }
         let phase = KCorePhase { k, alive_now };
-        let engine = SyncEngine::with_global(graph, phase, states, edge_data.clone(), ());
+        let engine = SyncEngine::with_global(graph, phase, states, &edge_data, ());
         let mut phase_cfg = ExecutionConfig {
             max_iterations: remaining,
             ..config.clone()

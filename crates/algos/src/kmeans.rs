@@ -179,12 +179,6 @@ impl VertexProgram for KMeans {
 
     fn combine(&self, _into: &mut (), _from: ()) {}
 
-    /// Unit messages carry no data, so combine order is vacuously
-    /// irrelevant and the pull path is always safe.
-    fn combine_commutative(&self) -> bool {
-        true
-    }
-
     fn should_halt(&self, iter: usize, states: &[KmState], _global: &KmGlobal) -> bool {
         // Quiescence: two consecutive iterations with no assignment change
         // (iteration 0's changes are initialization noise).
@@ -215,7 +209,7 @@ pub fn run_kmeans(
         .collect();
     let edge_data = vec![(); graph.num_edges()];
     let (finals, trace) =
-        SyncEngine::new(graph, KMeans::new(k), states, edge_data).run_resumable(config);
+        SyncEngine::new(graph, KMeans::new(k), states, &edge_data).run_resumable(config);
     (finals.into_iter().map(|s| s.cluster).collect(), trace)
 }
 

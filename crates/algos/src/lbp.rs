@@ -5,6 +5,12 @@
 //! vertex whose belief settles stops messaging, producing the "sharp drop
 //! in the number of active vertices over time" of paper Figure 11, while
 //! graph size leaves the *shape* of the active fraction unchanged.
+//!
+//! A destination's packets arrive in ascending sender order whichever way
+//! the engine runs a round, so LBP's order-sensitive `combine` is safe on
+//! both paths: under the default `Auto` direction its dense rounds pull
+//! over in-rows, combining each destination's packets in place with no
+//! outbox, and its sparse rounds push.
 
 use graphmine_engine::{ApplyInfo, EdgeSet, ExecutionConfig, RunTrace, SyncEngine, VertexProgram};
 use graphmine_gen::GridMrf;
@@ -240,19 +246,13 @@ impl VertexProgram for Lbp {
         })
     }
 
+    /// Concatenation is order-sensitive: apply reads the packets in
+    /// arrival order. The engine combines in ascending sender order on the
+    /// push and the pull path alike, so runs are reproducible and every
+    /// direction gives the same bits.
     fn combine(&self, into: &mut LbpMessage, from: LbpMessage) {
         into.rest.push(from.first);
         into.rest.extend(from.rest);
-    }
-
-    /// Concatenation is order-sensitive: apply reads the factor list in
-    /// arrival order, so only the engine's fixed deterministic combine
-    /// order keeps runs reproducible. Declared non-commutative (the
-    /// default, stated explicitly here) so `Auto` never picks the pull
-    /// path; forced `Pull` remains bit-identical on deduplicated builds,
-    /// where in-row order equals the push exchange's order.
-    fn combine_commutative(&self) -> bool {
-        false
     }
 }
 
@@ -277,7 +277,7 @@ pub fn run_lbp_on(
         })
         .collect();
     let edge_data = vec![(); graph.num_edges()];
-    let engine = SyncEngine::with_global(graph, program, states, edge_data, 0usize);
+    let engine = SyncEngine::with_global(graph, program, states, &edge_data, 0usize);
     let (finals, trace) = engine.run_resumable(config);
     let labels = finals
         .iter()

@@ -111,7 +111,7 @@ pub fn run_nmf(rg: &RatingGraph, config: &ExecutionConfig) -> (Vec<Factor>, RunT
     let states: Vec<Factor> = (0..rg.graph.num_vertices() as u64)
         .map(init_positive_factor)
         .collect();
-    SyncEngine::new(&rg.graph, Nmf, states, rg.ratings.clone()).run_resumable(&capped)
+    SyncEngine::new(&rg.graph, Nmf, states, &rg.ratings).run_resumable(&capped)
 }
 
 #[cfg(test)]

@@ -103,12 +103,6 @@ impl VertexProgram for PageRank {
     }
 
     fn combine(&self, _into: &mut (), _from: ()) {}
-
-    /// Unit messages carry no data, so combine order is vacuously
-    /// irrelevant and the pull path is always safe.
-    fn combine_commutative(&self) -> bool {
-        true
-    }
 }
 
 /// Run PageRank; returns per-vertex ranks and the behavior trace.
@@ -141,7 +135,7 @@ pub fn run_pagerank_with_config(
     ];
     let edge_data = vec![(); graph.num_edges()];
     let (finals, trace) =
-        SyncEngine::new(graph, PageRank { tolerance }, states, edge_data).run_resumable(config);
+        SyncEngine::new(graph, PageRank { tolerance }, states, &edge_data).run_resumable(config);
     (finals.into_iter().map(|s| s.rank).collect(), trace)
 }
 

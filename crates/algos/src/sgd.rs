@@ -113,12 +113,6 @@ impl VertexProgram for Sgd {
     }
 
     fn combine(&self, _into: &mut (), _from: ()) {}
-
-    /// Unit messages carry no data, so combine order is vacuously
-    /// irrelevant and the pull path is always safe.
-    fn combine_commutative(&self) -> bool {
-        true
-    }
 }
 
 /// Run SGD (capped at [`PAPER_ITERATION_CAP`] unless the config is tighter).
@@ -130,7 +124,7 @@ pub fn run_sgd(rg: &RatingGraph, config: &ExecutionConfig) -> (Vec<Factor>, RunT
     let states: Vec<Factor> = (0..rg.graph.num_vertices() as u64)
         .map(crate::als::init_factor)
         .collect();
-    SyncEngine::new(&rg.graph, Sgd::default(), states, rg.ratings.clone()).run_resumable(&capped)
+    SyncEngine::new(&rg.graph, Sgd::default(), states, &rg.ratings).run_resumable(&capped)
 }
 
 #[cfg(test)]

@@ -74,13 +74,6 @@ impl VertexProgram for ShortestPath {
         *into = into.min(from);
     }
 
-    /// `f64::min` over candidate distances is order-insensitive here: every
-    /// message is a finite, strictly positive distance (no NaN, no ±0.0
-    /// ambiguity), so the engine may run the pull path in `Auto` mode.
-    fn combine_commutative(&self) -> bool {
-        true
-    }
-
     fn schedule_priority(&self, _v: VertexId, msg: Option<&f64>) -> f64 {
         // Closest-frontier-first: on the async priority scheduler this
         // approximates Dijkstra order, cutting wasted re-relaxations.
@@ -99,7 +92,7 @@ pub fn run_sssp(
     assert_eq!(weights.len(), graph.num_edges());
     assert!(weights.iter().all(|&w| w >= 0.0), "negative edge weight");
     let states = vec![f64::INFINITY; graph.num_vertices()];
-    SyncEngine::new(graph, ShortestPath { source }, states, weights.to_vec()).run_resumable(config)
+    SyncEngine::new(graph, ShortestPath { source }, states, weights).run_resumable(config)
 }
 
 /// Sequential Dijkstra reference implementation.

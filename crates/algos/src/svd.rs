@@ -151,12 +151,6 @@ impl VertexProgram for Svd {
 
     fn combine(&self, _into: &mut (), _from: ()) {}
 
-    /// Unit messages carry no data, so combine order is vacuously
-    /// irrelevant and the pull path is always safe.
-    fn combine_commutative(&self) -> bool {
-        true
-    }
-
     fn should_halt(&self, iter: usize, states: &[SvdState], global: &SvdGlobal) -> bool {
         // The norm (σ estimate) settles long before the singular vector
         // does, so convergence also requires per-component quiescence.
@@ -188,7 +182,7 @@ pub fn run_svd(rg: &RatingGraph, config: &ExecutionConfig) -> (SvdResult, RunTra
             last_change: f64::INFINITY,
         })
         .collect();
-    let engine = SyncEngine::new(&rg.graph, Svd::default(), states, rg.ratings.clone());
+    let engine = SyncEngine::new(&rg.graph, Svd::default(), states, &rg.ratings);
     let (finals, global, trace) = engine.run_resumable_with_global(config);
     // Normalize the returned singular vector (states carry the raw iterate).
     let mut vector: Vec<f64> = finals.into_iter().map(|s| s.value).collect();

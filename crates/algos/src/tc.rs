@@ -111,7 +111,7 @@ pub fn run_tc(graph: &Graph, config: &ExecutionConfig) -> (u64, RunTrace) {
     let states = vec![0u64; graph.num_vertices()];
     let edge_data = vec![(); graph.num_edges()];
     let (finals, trace) =
-        SyncEngine::with_global(graph, program, states, edge_data, ()).run_resumable(config);
+        SyncEngine::with_global(graph, program, states, &edge_data, ()).run_resumable(config);
     // Each triangle is counted twice at each of its three vertices.
     let total: u64 = finals.iter().sum::<u64>() / 6;
     (total, trace)

@@ -45,7 +45,7 @@ fn cc_final_states_agree_across_executors() {
     let edge_data = vec![(); g.num_edges()];
 
     let (sync_labels, sync_trace) =
-        SyncEngine::new(&g, ConnectedComponents, init.clone(), edge_data.clone())
+        SyncEngine::new(&g, ConnectedComponents, init.clone(), &edge_data)
             .run(&ExecutionConfig::default());
     assert!(sync_trace.converged);
 
@@ -53,7 +53,7 @@ fn cc_final_states_agree_across_executors() {
         &g,
         &ConnectedComponents,
         init.clone(),
-        edge_data.clone(),
+        &edge_data,
         NoGlobal,
         &AsyncConfig::default(),
     );
@@ -82,7 +82,7 @@ fn sssp_final_states_agree_across_executors_and_match_dijkstra() {
     let init = vec![f64::INFINITY; n];
 
     let (sync_dist, sync_trace) =
-        SyncEngine::new(&g, ShortestPath { source }, init.clone(), weights.clone())
+        SyncEngine::new(&g, ShortestPath { source }, init.clone(), &weights)
             .run(&ExecutionConfig::default());
     assert!(sync_trace.converged);
 
@@ -90,7 +90,7 @@ fn sssp_final_states_agree_across_executors_and_match_dijkstra() {
         &g,
         &ShortestPath { source },
         init.clone(),
-        weights.clone(),
+        &weights,
         NoGlobal,
         &AsyncConfig::default(),
     );

@@ -4,8 +4,8 @@
 use graphmine_algos::lbp::{run_lbp, LbpMessage, LbpState};
 use graphmine_engine::{
     read_latest_checkpoint, write_checkpoint_generation, CheckpointPolicy, CheckpointStats,
-    DirectionMode, EngineCheckpoint, ExecutionConfig, FaultKind, FaultPlan, FaultSite,
-    FrontierMode, IterationStats, RunTrace, CHECKPOINT_FORMAT_VERSION,
+    DirectionChoice, DirectionMode, EngineCheckpoint, ExecutionConfig, FaultKind, FaultPlan,
+    FaultSite, FrontierMode, IterationStats, RunTrace, CHECKPOINT_FORMAT_VERSION,
 };
 use graphmine_gen::GridMrf;
 use graphmine_graph::VertexId;
@@ -76,6 +76,17 @@ fn counts_and_labels_match_the_recorded_run() {
             assert!(trace.converged);
             assert_eq!(rows(&trace), expected, "side {side}: {config:?}");
             assert_eq!(labels, planted, "side {side}: {config:?}");
+            // Grid rows are sorted, so the default direction pulls LBP's
+            // dense rounds despite its order-sensitive combine.
+            if config.direction == DirectionMode::Auto {
+                assert!(
+                    trace
+                        .iterations
+                        .iter()
+                        .any(|i| i.direction == DirectionChoice::Pull),
+                    "side {side}: {config:?} never pulled"
+                );
+            }
         }
     }
 }

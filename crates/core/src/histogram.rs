@@ -2,18 +2,15 @@
 //!
 //! Robust latency reporting needs percentiles over the full distribution,
 //! not an average ("SoK: The Faults in our Graph Benchmarks" catalogs the
-//! averaged-latency failure mode), and it needs them mergeable so that
-//! per-thread or per-stage recordings combine without loss. The classic
-//! answer is a histogram whose buckets grow geometrically — constant
-//! *relative* error across nine orders of magnitude at a few KiB of
-//! memory.
+//! averaged-latency failure mode). The classic answer is a histogram whose
+//! buckets grow geometrically — constant *relative* error across nine
+//! orders of magnitude at a few KiB of memory.
 //!
 //! Bucketing scheme: values below 2^[`SUB_BITS`] get exact unit buckets;
 //! every octave `[2^m, 2^(m+1))` above that is split into `2^SUB_BITS`
 //! linear sub-buckets, so no recorded value is distorted by more than
 //! `2^-SUB_BITS` (≈3.1% at the default precision). Counts are plain
-//! `u64`s: merging is bucket-wise addition (associative and commutative),
-//! and serde round-trips exactly.
+//! `u64`s, and serde round-trips exactly.
 //!
 //! The histogram is value-unit agnostic; the service records
 //! **microseconds**.
@@ -31,7 +28,7 @@ const SUB_COUNT: u64 = 1 << SUB_BITS;
 pub const REPORT_QUANTILES: [(&str, f64); 4] =
     [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)];
 
-/// A mergeable log-bucketed histogram of `u64` values.
+/// A log-bucketed histogram of `u64` values.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LogHistogram {
     /// Bucket counts, indexed by [`bucket_index`]; trailing buckets that
@@ -181,49 +178,6 @@ impl LogHistogram {
         self.max
     }
 
-    /// Merge `other` into `self`: bucket-wise count addition. Associative
-    /// and commutative, so per-thread recordings combine in any order.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += *theirs;
-        }
-        self.total += other.total;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// The recordings in `self` but not in `earlier` — for differencing
-    /// two snapshots of a cumulative histogram (e.g. a service's stage
-    /// histogram before and after a measurement window). `earlier` must be
-    /// a previous snapshot of the same histogram; counts subtract
-    /// saturating, and `min`/`max` are re-derived from bucket bounds (the
-    /// window's true extremes are not recoverable from snapshots).
-    pub fn since(&self, earlier: &LogHistogram) -> LogHistogram {
-        let mut counts = self.counts.clone();
-        for (mine, theirs) in counts.iter_mut().zip(earlier.counts.iter()) {
-            *mine = mine.saturating_sub(*theirs);
-        }
-        while counts.last() == Some(&0) {
-            counts.pop();
-        }
-        let first = counts.iter().position(|&c| c > 0);
-        let (min, max) = match first {
-            Some(lo) => (bucket_low(lo), bucket_high(counts.len() - 1) - 1),
-            None => (u64::MAX, 0),
-        };
-        LogHistogram {
-            total: counts.iter().sum(),
-            sum: self.sum.saturating_sub(earlier.sum),
-            counts,
-            min,
-            max,
-        }
-    }
-
     /// JSON summary: count, min/mean/max, and the report quantiles. Values
     /// are emitted under the unit name given (e.g. `"us"` →
     /// `{"p50_us": …}`).
@@ -345,64 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_associative_and_matches_direct_recording() {
-        let samples: [&[u64]; 3] = [&[1, 5, 900], &[32, 33, 1_000_000], &[2, 2, 2, 7_000]];
-        let mut parts: Vec<LogHistogram> = samples
-            .iter()
-            .map(|vs| {
-                let mut h = LogHistogram::new();
-                for &v in *vs {
-                    h.record(v);
-                }
-                h
-            })
-            .collect();
-        // (a ⊕ b) ⊕ c
-        let mut left = parts[0].clone();
-        left.merge(&parts[1]);
-        left.merge(&parts[2]);
-        // a ⊕ (b ⊕ c)
-        let mut bc = parts[1].clone();
-        bc.merge(&parts[2]);
-        let mut right = parts[0].clone();
-        right.merge(&bc);
-        assert_eq!(left, right);
-        // Equal to recording everything into one histogram directly.
-        let mut direct = LogHistogram::new();
-        for vs in samples {
-            for &v in vs {
-                direct.record(v);
-            }
-        }
-        assert_eq!(left, direct);
-        // Merging an empty histogram is the identity.
-        parts[0].merge(&LogHistogram::new());
-        let mut a = LogHistogram::new();
-        for &v in samples[0] {
-            a.record(v);
-        }
-        assert_eq!(parts[0], a);
-    }
-
-    #[test]
-    fn since_recovers_a_window() {
-        let mut before = LogHistogram::new();
-        for v in [10u64, 20, 30] {
-            before.record(v);
-        }
-        let mut after = before.clone();
-        for v in [100u64, 200] {
-            after.record(v);
-        }
-        let window = after.since(&before);
-        assert_eq!(window.count(), 2);
-        // Bucket-derived bounds bracket the window's true extremes.
-        assert!(window.min() <= 100, "window min {}", window.min());
-        assert!(window.max() >= 200, "window max {}", window.max());
-        assert_eq!(after.since(&after), LogHistogram::new());
-    }
-
-    #[test]
     fn serde_round_trip_is_exact() {
         let mut h = LogHistogram::new();
         for v in [0u64, 1, 31, 32, 1_000, 123_456_789, u64::MAX] {
@@ -469,37 +365,6 @@ mod tests {
                 }
                 last = v;
             }
-        }
-    }
-
-    /// Merging two histograms equals recording the union.
-    #[test]
-    fn merge_equals_union() {
-        for case in 0..CASES {
-            let seed = SEED + case;
-            let at = format!("seed {seed}, case {case}");
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let draw = |rng: &mut SmallRng| -> Vec<u64> {
-                (0..rng.gen_range(0..100))
-                    .map(|_| rng.gen_range(0..1_000_000_000))
-                    .collect()
-            };
-            let (a, b) = (draw(&mut rng), draw(&mut rng));
-            let mut ha = LogHistogram::new();
-            for &v in &a {
-                ha.record(v);
-            }
-            let mut hb = LogHistogram::new();
-            for &v in &b {
-                hb.record(v);
-            }
-            let mut merged = ha.clone();
-            merged.merge(&hb);
-            let mut direct = LogHistogram::new();
-            for &v in a.iter().chain(b.iter()) {
-                direct.record(v);
-            }
-            assert_eq!(merged, direct, "{at}");
         }
     }
 }

@@ -146,6 +146,7 @@ impl AsyncConfig {
 struct Shared<'g, P: VertexProgram> {
     graph: &'g Graph,
     program: &'g P,
+    edge_data: &'g [P::EdgeData],
     states: Vec<Mutex<P::State>>,
     inbox: Vec<Mutex<Option<P::Message>>>,
     queued: Vec<AtomicBool>,
@@ -157,7 +158,6 @@ struct Shared<'g, P: VertexProgram> {
     apply_ns: AtomicU64,
     budget_exhausted: AtomicBool,
     global: P::Global,
-    edge_data_vec: Vec<P::EdgeData>,
 }
 
 impl<'g, P: VertexProgram> Shared<'g, P> {
@@ -282,7 +282,7 @@ impl<'g, P: VertexProgram> Shared<'g, P> {
     }
 
     fn edge_data(&self, e: graphmine_graph::EdgeId) -> &P::EdgeData {
-        &self.edge_data_vec[e as usize]
+        &self.edge_data[e as usize]
     }
 }
 
@@ -297,7 +297,7 @@ pub fn async_run<P: VertexProgram>(
     graph: &Graph,
     program: &P,
     states: Vec<P::State>,
-    edge_data: Vec<P::EdgeData>,
+    edge_data: &[P::EdgeData],
     global: P::Global,
     config: &AsyncConfig,
 ) -> (Vec<P::State>, AsyncStats) {
@@ -307,6 +307,7 @@ pub fn async_run<P: VertexProgram>(
     let shared = Shared {
         graph,
         program,
+        edge_data,
         states: states.into_iter().map(Mutex::new).collect(),
         inbox: (0..n).map(|_| Mutex::new(None)).collect(),
         queued: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -321,7 +322,6 @@ pub fn async_run<P: VertexProgram>(
         apply_ns: AtomicU64::new(0),
         budget_exhausted: AtomicBool::new(false),
         global,
-        edge_data_vec: edge_data,
     };
     match program.initial_active() {
         ActiveInit::All => {
@@ -444,7 +444,7 @@ mod tests {
             &g,
             &MinLabel,
             states,
-            vec![(); g.num_edges()],
+            &vec![(); g.num_edges()],
             NoGlobal,
             &AsyncConfig::default(),
         );
@@ -461,7 +461,7 @@ mod tests {
             threads: 1,
             ..AsyncConfig::default()
         };
-        let (finals, _) = async_run(&g, &MinLabel, states, vec![(); 32], NoGlobal, &cfg);
+        let (finals, _) = async_run(&g, &MinLabel, states, &[(); 32], NoGlobal, &cfg);
         assert!(finals.iter().all(|&l| l == 0));
     }
 
@@ -474,7 +474,7 @@ mod tests {
             max_updates: 10,
             ..AsyncConfig::default()
         };
-        let (_, stats) = async_run(&g, &MinLabel, states, vec![(); 128], NoGlobal, &cfg);
+        let (_, stats) = async_run(&g, &MinLabel, states, &[(); 128], NoGlobal, &cfg);
         assert!(!stats.converged);
         // A couple of in-flight updates may land after the budget trips.
         assert!(
@@ -492,7 +492,7 @@ mod tests {
             &g,
             &MinLabel,
             states,
-            vec![(); 16],
+            &[(); 16],
             NoGlobal,
             &AsyncConfig::default(),
         );
@@ -507,7 +507,7 @@ mod tests {
         let g = ring(48);
         let states: Vec<u32> = (0..48).collect();
         let cfg = AsyncConfig::default().with_priority_scheduler();
-        let (finals, stats) = async_run(&g, &MinLabel, states, vec![(); 48], NoGlobal, &cfg);
+        let (finals, stats) = async_run(&g, &MinLabel, states, &[(); 48], NoGlobal, &cfg);
         assert!(finals.iter().all(|&l| l == 0));
         assert!(stats.converged);
     }
@@ -521,7 +521,7 @@ mod tests {
             &g,
             &MinLabel,
             vec![5u32; 8],
-            vec![(); 8],
+            &[(); 8],
             NoGlobal,
             &AsyncConfig::default(),
         );

@@ -406,7 +406,7 @@ mod tests {
             NoGlobal,
             &EdgeCentricConfig::default(),
         );
-        let (vc_states, vc_trace) = SyncEngine::new(&g, MinLabel, states, vec![(); g.num_edges()])
+        let (vc_states, vc_trace) = SyncEngine::new(&g, MinLabel, states, &vec![(); g.num_edges()])
             .run(&ExecutionConfig::default());
         assert_eq!(ec_states, vc_states);
         assert_eq!(strip(&ec_trace), strip(&vc_trace));
@@ -425,7 +425,7 @@ mod tests {
             &EdgeCentricConfig::default(),
         );
         let (vc_states, vc_trace) =
-            SyncEngine::new(&g, NeighborSum, states, vec![(); g.num_edges()])
+            SyncEngine::new(&g, NeighborSum, states, &vec![(); g.num_edges()])
                 .run(&ExecutionConfig::default());
         assert_eq!(ec_states, vc_states);
         assert_eq!(strip(&ec_trace), strip(&vc_trace));

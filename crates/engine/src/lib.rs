@@ -82,7 +82,7 @@
 //!
 //! let g = GraphBuilder::undirected(4).edge(0, 1).edge(1, 2).edge(2, 3).build();
 //! let states: Vec<u32> = (0..4).collect();
-//! let engine = SyncEngine::new(&g, MinLabel, states, vec![(); 3]);
+//! let engine = SyncEngine::new(&g, MinLabel, states, &[(); 3]);
 //! let (final_states, trace) = engine.run(&ExecutionConfig::default());
 //! assert_eq!(final_states, vec![0, 0, 0, 0]);
 //! assert!(trace.converged);

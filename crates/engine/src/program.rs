@@ -153,22 +153,14 @@ pub trait VertexProgram: Sync {
     }
 
     /// Combine two messages addressed to the same vertex. The engine always
-    /// calls it in a fixed, deterministic order (ascending source vertex),
-    /// so implementations need not be commutative — LBP concatenates.
+    /// calls it in a fixed, deterministic order — ascending source vertex,
+    /// then the source's edge order — whichever direction the round runs:
+    /// the push exchange walks its outboxes in that order, and the pull path
+    /// walks the destination's in-row, which lists sources ascending on
+    /// sorted rows (the only rows `DirectionMode::Auto` pulls on). So
+    /// implementations need not be commutative — LBP concatenates.
     fn combine(&self, _into: &mut Self::Message, _from: Self::Message) {
         unreachable!("program sends messages but does not implement combine()")
-    }
-
-    /// Whether [`combine`](VertexProgram::combine) is commutative *and*
-    /// bitwise order-insensitive — folding the same message multiset in any
-    /// order produces the identical bit pattern (min/max, integer addition,
-    /// unit messages; **not** f64 addition chains of differing order or
-    /// order-dependent concatenation). Direction-optimizing execution only
-    /// considers the pull path in `Auto` mode when this holds, because pull
-    /// re-derives each destination's combine order from its in-edge rows.
-    /// Defaults to `false`: declaring nothing keeps today's push behavior.
-    fn combine_commutative(&self) -> bool {
-        false
     }
 
     /// Hook run once before each iteration with read access to all previous

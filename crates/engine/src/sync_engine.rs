@@ -40,6 +40,12 @@
 //!   same fixed order (source chunk ascending, then emission order), so
 //!   floating-point message reductions are bit-identical across thread
 //!   counts, the sequential fallback, and both frontier modes;
+//! * the push scatter and exchange run in ascending waves of source chunks
+//!   of at most |V| planned edge work each, so the outboxes hold one
+//!   wave's messages rather than a whole round's — the engine's working
+//!   memory follows |V|, not |E| or the round's message count;
+//! * the engine borrows the per-edge data (`&[P::EdgeData]`) instead of
+//!   owning a copy of the input's edge columns;
 //! * scatter, exchange and pull run as work-balanced tasks over runs of
 //!   consecutive chunks (`task_plan`), each borrowing its buffers from
 //!   run-lifetime scratch — the plan follows the pool size, the results
@@ -71,10 +77,9 @@
 //! produce bit-identical traces on deduplicated builds: CSR rows are
 //! source-ascending there ([`Graph::has_sorted_rows`]), so the pull path's
 //! per-destination combine order (in-row order) equals the push exchange's
-//! fixed order (source chunk ascending, then emission order). `Auto`
-//! additionally requires the program to declare
-//! [`VertexProgram::combine_commutative`], keeping the conservative default
-//! on push for programs whose combine order is semantically load-bearing.
+//! fixed order (source chunk ascending, then emission order) — for any
+//! `combine`, order-sensitive ones included. `Auto` therefore considers
+//! pull on sorted rows only, and stays on push elsewhere.
 
 use crate::checkpoint::{
     read_latest_checkpoint, write_checkpoint_generation, CheckpointError, CheckpointPolicy,
@@ -138,9 +143,8 @@ pub enum DirectionMode {
     /// Decide per iteration from the cost model: pull when
     /// [`PULL_COST_FACTOR`] × the frontier's summed out-degree reaches the
     /// graph's total in-slot count, push otherwise. Pull is only considered
-    /// when the program declares
-    /// [`combine_commutative`](VertexProgram::combine_commutative) and the
-    /// graph has sorted adjacency rows, so `Auto` never risks the
+    /// when the graph has sorted adjacency rows, where it combines every
+    /// destination's messages in push's order, so `Auto` never risks the
     /// bit-identity contract.
     #[default]
     Auto,
@@ -330,12 +334,13 @@ impl ExecutionConfig {
     }
 }
 
-/// The synchronous GAS engine, borrowing a graph and owning program state.
+/// The synchronous GAS engine, borrowing a graph and its per-edge data and
+/// owning program state.
 pub struct SyncEngine<'g, P: VertexProgram> {
     graph: &'g Graph,
     program: P,
     states: Vec<P::State>,
-    edge_data: Vec<P::EdgeData>,
+    edge_data: &'g [P::EdgeData],
     global: P::Global,
 }
 
@@ -575,7 +580,7 @@ where
         graph: &'g Graph,
         program: P,
         states: Vec<P::State>,
-        edge_data: Vec<P::EdgeData>,
+        edge_data: &'g [P::EdgeData],
     ) -> SyncEngine<'g, P> {
         Self::with_global(graph, program, states, edge_data, P::Global::default())
     }
@@ -587,7 +592,7 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
         graph: &'g Graph,
         program: P,
         states: Vec<P::State>,
-        edge_data: Vec<P::EdgeData>,
+        edge_data: &'g [P::EdgeData],
         global: P::Global,
     ) -> SyncEngine<'g, P> {
         assert_eq!(
@@ -810,7 +815,7 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
         let graph = self.graph;
         let program = &self.program;
         let states = &self.states;
-        let edge_data = &self.edge_data;
+        let edge_data = self.edge_data;
         let global = &self.global;
         let active = &frontier.bitmap;
         let sparse = frontier.sparse;
@@ -1088,19 +1093,17 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
         // ---- Direction selection ----
         // Only an out-edge scatter has a pull formulation. Auto picks pull
         // when the frontier's summed out-degree makes the push path's
-        // outbox machinery cost more than a flat in-slot sweep, and only
-        // for programs/graphs where pull's per-destination combine order
-        // (in-row order) provably equals push's (sorted rows + commutative
-        // combine). Forced Pull trusts the caller.
+        // outbox machinery cost more than a flat in-slot sweep, and only on
+        // sorted rows, where pull's per-destination combine order (in-row
+        // order, ascending source) is exactly push's. Forced Pull trusts
+        // the caller.
         let scatter_dir = program.scatter_edges();
-        let scatter_dirs = edge_dirs(scatter_dir, graph.is_directed());
         let use_pull = scatter_dir == EdgeSet::Out
             && match config.direction {
                 DirectionMode::Push => false,
                 DirectionMode::Pull => true,
                 DirectionMode::Auto => {
-                    program.combine_commutative()
-                        && graph.has_sorted_rows()
+                    graph.has_sorted_rows()
                         && PULL_COST_FACTOR * frontier.out_deg >= graph.total_in_slots()
                 }
             };
@@ -1113,11 +1116,9 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
         // buffers from run-lifetime scratch.
         let scatter_t0 = Instant::now();
         let next_states_ref: &[P::State] = next_states;
-        let dest_bounds = geometry.dest_bounds;
         // [messages, remote messages, edge traversals].
-        let mut sent = [0u64; 3];
-        let mut receivers: Vec<VertexId> = Vec::new();
-        if use_pull {
+        let (sent, receivers) = if use_pull {
+            let mut receivers: Vec<VertexId> = Vec::new();
             // Pull: each destination chunk walks its vertices' in-edges,
             // evaluates scatter for the active sources it finds, and
             // combines straight into its own inbox slots — scatter and
@@ -1132,10 +1133,10 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                 .enumerate()
                 .filter(|&(ci, _)| in_spans[ci] > 0)
                 .collect();
-            let tasks = into_tasks(chunks, |ci, _| in_spans[ci], dest_bounds);
+            let tasks = into_tasks(chunks, |ci, _| in_spans[ci], geometry.dest_bounds);
             let bufs = pooled(&mut scratch.bufs, tasks.len());
             let work: Vec<_> = tasks.into_iter().zip(bufs.iter_mut()).collect();
-            sent = sum_tasks(config.sequential, work, |(task, buf)| {
+            let sent = sum_tasks(config.sequential, work, |(task, buf)| {
                 let mut sent = [0u64; 3];
                 for (ci, mut chunk) in task {
                     let base = ci * cs;
@@ -1195,167 +1196,10 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
             for buf in bufs {
                 receivers.append(&mut buf.hits);
             }
-        } else if let Some(&scatter_pf) = scatter_dirs.first() {
-            // Push: active vertices emit into their task's outbox, then the
-            // exchange merges the outboxes into the inbox.
-            let scatter_one = |v: VertexId,
-                               row: &mut Vec<VertexId>,
-                               out: &mut Vec<(VertexId, P::Message)>,
-                               sent: &mut [u64; 3]| {
-                let v_state = &next_states_ref[v as usize];
-                for &dir in scatter_dirs {
-                    let (eids, nbrs) = graph.incident_row(v, dir, row);
-                    sent[2] += eids.len() as u64;
-                    for (&e, &nbr) in eids.iter().zip(nbrs) {
-                        if let Some(msg) = program.scatter(
-                            graph,
-                            v,
-                            e,
-                            nbr,
-                            v_state,
-                            &states[nbr as usize],
-                            &edge_data[e as usize],
-                            global,
-                        ) {
-                            sent[0] += 1;
-                            if let Some(p) = partition {
-                                if p[v as usize] != p[nbr as usize] {
-                                    sent[1] += 1;
-                                }
-                            }
-                            out.push((nbr, msg));
-                        }
-                    }
-                }
-            };
-            // Source tasks: runs of source chunks weighing about the same
-            // in edges to visit — the listed vertices' degrees when sparse,
-            // the chunk's whole edge span when dense. All of a task's
-            // chunks fill ONE outbox, walked ascending, so the flattened
-            // emission order per destination chunk is identical to walking
-            // one outbox per source chunk in ascending order and the
-            // exchange's combine order (and every result bit) is the same
-            // for every grouping. A source task reads its chunks but writes
-            // no inbox slot, so only the shard boundary bounds it.
-            let prefixes: Vec<&[u64]> = scatter_dirs
-                .iter()
-                .map(|&dir| graph.degree_prefix(dir))
-                .collect();
-            let degree = |v: VertexId| -> u64 {
-                prefixes
-                    .iter()
-                    .map(|p| p[v as usize + 1] - p[v as usize])
-                    .sum()
-            };
-            // `(chunk, (lo, hi))`: a range of `frontier.list` when sparse,
-            // the chunk's vertex range when dense.
-            let items: Vec<(usize, (usize, usize))> = if sparse {
-                frontier
-                    .chunks
-                    .iter()
-                    .map(|&(ci, lo, hi)| (ci, (lo, hi)))
-                    .collect()
-            } else {
-                geometry.ranges.iter().copied().enumerate().collect()
-            };
-            let tasks = into_tasks(
-                items,
-                |ci, &(lo, hi)| {
-                    if sparse {
-                        frontier.list[lo..hi].iter().map(|&v| degree(v)).sum()
-                    } else {
-                        geometry.push_spans[ci]
-                    }
-                },
-                dest_bounds.without_window(),
-            );
-            let bufs = pooled(&mut scratch.bufs, tasks.len());
-            let outboxes = pooled(&mut scratch.outboxes, tasks.len());
-            let work: Vec<_> = tasks
-                .into_iter()
-                .zip(bufs.iter_mut().zip(outboxes.iter_mut()))
-                .collect();
-            sent = sum_tasks(config.sequential, work, |(task, (buf, outbox))| {
-                let mut sent = [0u64; 3];
-                let out = outbox.begin();
-                for &(_, (lo, hi)) in &task {
-                    if sparse {
-                        let verts = &frontier.list[lo..hi];
-                        for (i, &v) in verts.iter().enumerate() {
-                            if let Some(&nv) = verts.get(i + 1) {
-                                graph.prefetch_row(nv, scatter_pf);
-                            }
-                            scatter_one(v, &mut buf.row, out, &mut sent);
-                        }
-                    } else {
-                        for (i, &is_active) in active[lo..hi].iter().enumerate() {
-                            if is_active {
-                                let v = (lo + i) as VertexId;
-                                graph.prefetch_row(v + 1, scatter_pf);
-                                scatter_one(v, &mut buf.row, out, &mut sent);
-                            }
-                        }
-                    }
-                }
-                outbox.bucket(cs);
-                sent
-            });
-
-            // Exchange: combine messages into the inbox. Apply drained
-            // every delivered message above, so the inbox is all-empty here
-            // — no O(|V|) clear. Destination tasks are planned over the
-            // chunks that received anything, weighted by how much; each
-            // owns its messages (one run per outbox, split off in place)
-            // and merges its chunks ascending, each chunk walking the
-            // outboxes in source order and each run in emission order: the
-            // exact combine order a single-threaded merge of the
-            // un-bucketed outboxes would use, for any plan.
-            let (first, counts) = dest_chunk_counts(outboxes);
-            if !counts.is_empty() {
-                let ids = || (first..).zip(&counts).filter(|c| *c.1 > 0).map(|c| c.0);
-                let chunks: Vec<(usize, SlotChunk<'_, P::Message>)> = ids()
-                    .zip(select_slot_chunks_mut(inbox, cs, ids()))
-                    .collect();
-                let tasks = into_tasks(chunks, |ci, _| counts[ci - first], dest_bounds);
-                let last_chunks: Vec<usize> = tasks.iter().map(|t| t[t.len() - 1].0).collect();
-                let num_outboxes = outboxes.len();
-                let mut runs = split_runs(outboxes, &last_chunks);
-                let bufs = pooled(&mut scratch.bufs, tasks.len());
-                let work: Vec<_> = tasks
-                    .into_iter()
-                    .zip(runs.chunks_mut(num_outboxes))
-                    .zip(bufs.iter_mut())
-                    .collect();
-                sum_tasks(config.sequential, work, |((task, runs), buf)| {
-                    for (ci, mut chunk) in task {
-                        let base = ci * cs;
-                        let first_hit = buf.hits.len();
-                        for run in runs.iter_mut() {
-                            // Runs are sorted by destination chunk and the
-                            // earlier chunks' messages are already gone.
-                            let here = run.partition_point(|m| (m.0 as usize) < base + chunk.len());
-                            let (msgs, rest) = std::mem::take(run).split_at_mut(here);
-                            *run = rest;
-                            for (target, msg) in msgs {
-                                let inserted = chunk.merge_or_insert(
-                                    *target as usize - base,
-                                    std::mem::take(msg),
-                                    |a, b| program.combine(a, b),
-                                );
-                                if inserted && track_receivers {
-                                    buf.hits.push(*target);
-                                }
-                            }
-                        }
-                        buf.hits[first_hit..].sort_unstable();
-                    }
-                    [0; 3]
-                });
-                for buf in bufs {
-                    receivers.append(&mut buf.hits);
-                }
-            }
-        }
+            (sent, receivers)
+        } else {
+            self.push_exchange(config, frontier, geometry, inbox, scratch, next_states_ref)
+        };
         let scatter_ns = scatter_t0.elapsed().as_nanos() as u64;
 
         let stats = IterationStats {
@@ -1379,6 +1223,246 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
             pull_edge_traversals: if use_pull { sent[2] } else { 0 },
         };
         (stats, receivers)
+    }
+
+    /// The push scatter and exchange: active vertices emit into per-task
+    /// outboxes, then the exchange combines the outboxes into the inbox.
+    /// Returns `[messages, remote messages, edge traversals]` and the
+    /// sorted vertices whose inbox slot this phase filled.
+    ///
+    /// The sources run in ascending *waves*: runs of consecutive chunks
+    /// whose planned edge work adds up to at most |V|, each scattered,
+    /// bucketed and exchanged before the next starts. A chunk heavier than
+    /// that is cut between its vertices, so a wave holds at least one
+    /// vertex and exceeds |V| only for a vertex whose own edges do. A wave
+    /// sends at most one message per edge it visits, so the outboxes hold
+    /// about one inbox's worth of entries whatever the round sends. Waves
+    /// ascend by source, so every destination still combines its messages
+    /// in ascending source order — results are bit-identical to a single
+    /// wave.
+    fn push_exchange(
+        &self,
+        config: &ExecutionConfig,
+        frontier: &FrontierSet,
+        geometry: &ScatterGeometry,
+        inbox: &mut SlotTable<P::Message>,
+        scratch: &mut ScatterScratch<P::Message>,
+        next_states: &[P::State],
+    ) -> ([u64; 3], Vec<VertexId>) {
+        let graph = self.graph;
+        let program = &self.program;
+        let (states, edge_data, global) = (&self.states, self.edge_data, &self.global);
+        let partition = config.partition.as_deref();
+        let track_receivers = !program.always_active();
+        let (cs, sparse, active) = (frontier.cs, frontier.sparse, &frontier.bitmap);
+        let scatter_dirs = edge_dirs(program.scatter_edges(), graph.is_directed());
+        let mut sent = [0u64; 3];
+        let mut receivers: Vec<VertexId> = Vec::new();
+        let Some(&scatter_pf) = scatter_dirs.first() else {
+            return (sent, receivers);
+        };
+        let scatter_one = |v: VertexId,
+                           row: &mut Vec<VertexId>,
+                           out: &mut Vec<(VertexId, P::Message)>,
+                           sent: &mut [u64; 3]| {
+            let v_state = &next_states[v as usize];
+            for &dir in scatter_dirs {
+                let (eids, nbrs) = graph.incident_row(v, dir, row);
+                sent[2] += eids.len() as u64;
+                for (&e, &nbr) in eids.iter().zip(nbrs) {
+                    if let Some(msg) = program.scatter(
+                        graph,
+                        v,
+                        e,
+                        nbr,
+                        v_state,
+                        &states[nbr as usize],
+                        &edge_data[e as usize],
+                        global,
+                    ) {
+                        sent[0] += 1;
+                        if let Some(p) = partition {
+                            if p[v as usize] != p[nbr as usize] {
+                                sent[1] += 1;
+                            }
+                        }
+                        out.push((nbr, msg));
+                    }
+                }
+            }
+        };
+        // Source chunks weigh their planned edge work — the listed
+        // vertices' degrees when sparse, the chunk's whole edge span when
+        // dense: `(chunk, (lo, hi, work))`, with `lo..hi` a range of
+        // `frontier.list` when sparse and of vertices when dense.
+        let prefixes: Vec<&[u64]> = scatter_dirs
+            .iter()
+            .map(|&dir| graph.degree_prefix(dir))
+            .collect();
+        let degree = |i: usize| -> u64 {
+            let v = if sparse { frontier.list[i] as usize } else { i };
+            prefixes.iter().map(|p| p[v + 1] - p[v]).sum()
+        };
+        let chunks: Vec<(usize, usize, usize, u64)> = if sparse {
+            frontier
+                .chunks
+                .iter()
+                .map(|&(ci, lo, hi)| (ci, lo, hi, (lo..hi).map(degree).sum()))
+                .collect()
+        } else {
+            geometry
+                .ranges
+                .iter()
+                .enumerate()
+                .map(|(ci, &(lo, hi))| (ci, lo, hi, geometry.push_spans[ci]))
+                .collect()
+        };
+        // A hub chunk heavier than a wave is cut between its vertices, so
+        // only a single vertex's edges can take a wave past |V|.
+        let budget = graph.num_vertices() as u64;
+        let mut items: Vec<(usize, (usize, usize, u64))> = Vec::with_capacity(chunks.len());
+        for (ci, lo, hi, work) in chunks {
+            if work <= budget {
+                items.push((ci, (lo, hi, work)));
+                continue;
+            }
+            let (mut start, mut part) = (lo, 0);
+            for i in lo..hi {
+                let d = degree(i);
+                if part + d > budget && i > start {
+                    items.push((ci, (start, i, part)));
+                    (start, part) = (i, 0);
+                }
+                part += d;
+            }
+            items.push((ci, (start, hi, part)));
+        }
+        let mut waves = 0;
+        let mut rest = &items[..];
+        while !rest.is_empty() {
+            let mut len = 1;
+            let mut work = rest[0].1 .2;
+            while let Some(&(_, (_, _, w))) = rest.get(len) {
+                if work + w > budget {
+                    break;
+                }
+                work += w;
+                len += 1;
+            }
+            let (wave, tail) = rest.split_at(len);
+            rest = tail;
+            waves += 1;
+
+            // Source tasks: runs of a wave's chunks weighing about the
+            // same in edges to visit. All of a task's chunks fill ONE
+            // outbox, walked ascending, so the flattened emission order per
+            // destination chunk is identical to walking one outbox per
+            // source chunk in ascending order and the exchange's combine
+            // order (and every result bit) is the same for every grouping.
+            // A source task reads its chunks but writes no inbox slot, so
+            // only the shard boundary bounds it.
+            let tasks = into_tasks(
+                wave.to_vec(),
+                |_, &(_, _, work)| work,
+                geometry.dest_bounds.without_window(),
+            );
+            let bufs = pooled(&mut scratch.bufs, tasks.len());
+            let outboxes = pooled(&mut scratch.outboxes, tasks.len());
+            let work: Vec<_> = tasks
+                .into_iter()
+                .zip(bufs.iter_mut().zip(outboxes.iter_mut()))
+                .collect();
+            let wave_sent = sum_tasks(config.sequential, work, |(task, (buf, outbox))| {
+                let mut sent = [0u64; 3];
+                let out = outbox.begin();
+                for &(_, (lo, hi, _)) in &task {
+                    if sparse {
+                        let verts = &frontier.list[lo..hi];
+                        for (i, &v) in verts.iter().enumerate() {
+                            if let Some(&nv) = verts.get(i + 1) {
+                                graph.prefetch_row(nv, scatter_pf);
+                            }
+                            scatter_one(v, &mut buf.row, out, &mut sent);
+                        }
+                    } else {
+                        for (i, &is_active) in active[lo..hi].iter().enumerate() {
+                            if is_active {
+                                let v = (lo + i) as VertexId;
+                                graph.prefetch_row(v + 1, scatter_pf);
+                                scatter_one(v, &mut buf.row, out, &mut sent);
+                            }
+                        }
+                    }
+                }
+                outbox.bucket(cs);
+                sent
+            });
+            for (total, s) in sent.iter_mut().zip(wave_sent) {
+                *total += s;
+            }
+
+            // Exchange: combine the wave's messages into the inbox. Apply
+            // drained every delivered message, so before the first wave
+            // the inbox is all-empty — no O(|V|) clear. Destination tasks
+            // are planned over the chunks that received anything, weighted
+            // by how much; each owns its messages (one run per outbox,
+            // split off in place) and merges its chunks ascending, each
+            // chunk walking the outboxes in source order and each run in
+            // emission order: the exact combine order a single-threaded
+            // merge of the un-bucketed outboxes would use, for any plan.
+            let (first, counts) = dest_chunk_counts(outboxes);
+            if counts.is_empty() {
+                continue;
+            }
+            let ids = || (first..).zip(&counts).filter(|c| *c.1 > 0).map(|c| c.0);
+            let chunks: Vec<(usize, SlotChunk<'_, P::Message>)> = ids()
+                .zip(select_slot_chunks_mut(inbox, cs, ids()))
+                .collect();
+            let tasks = into_tasks(chunks, |ci, _| counts[ci - first], geometry.dest_bounds);
+            let last_chunks: Vec<usize> = tasks.iter().map(|t| t[t.len() - 1].0).collect();
+            let num_outboxes = outboxes.len();
+            let mut runs = split_runs(outboxes, &last_chunks);
+            let bufs = pooled(&mut scratch.bufs, tasks.len());
+            let work: Vec<_> = tasks
+                .into_iter()
+                .zip(runs.chunks_mut(num_outboxes))
+                .zip(bufs.iter_mut())
+                .collect();
+            sum_tasks(config.sequential, work, |((task, runs), buf)| {
+                for (ci, mut chunk) in task {
+                    let base = ci * cs;
+                    let first_hit = buf.hits.len();
+                    for run in runs.iter_mut() {
+                        // Runs are sorted by destination chunk and the
+                        // earlier chunks' messages are already gone.
+                        let here = run.partition_point(|m| (m.0 as usize) < base + chunk.len());
+                        let (msgs, rest) = std::mem::take(run).split_at_mut(here);
+                        *run = rest;
+                        for (target, msg) in msgs {
+                            let inserted = chunk.merge_or_insert(
+                                *target as usize - base,
+                                std::mem::take(msg),
+                                |a, b| program.combine(a, b),
+                            );
+                            if inserted && track_receivers {
+                                buf.hits.push(*target);
+                            }
+                        }
+                    }
+                    buf.hits[first_hit..].sort_unstable();
+                }
+                [0; 3]
+            });
+            for buf in bufs {
+                receivers.append(&mut buf.hits);
+            }
+        }
+        // Each wave's receivers ascend, and a vertex is a receiver of the
+        // wave that filled its slot only.
+        if waves > 1 {
+            receivers.sort_unstable();
+        }
+        (sent, receivers)
     }
 }
 
@@ -1563,9 +1647,6 @@ mod tests {
         fn combine(&self, into: &mut u32, from: u32) {
             *into = (*into).min(from);
         }
-        fn combine_commutative(&self) -> bool {
-            true
-        }
     }
 
     fn path(n: usize) -> Graph {
@@ -1580,7 +1661,7 @@ mod tests {
     fn min_label_converges_on_path() {
         let g = path(8);
         let states: Vec<u32> = (0..8).collect();
-        let engine = SyncEngine::new(&g, MinLabel, states, vec![(); 7]);
+        let engine = SyncEngine::new(&g, MinLabel, states, &[(); 7]);
         let (finals, trace) = engine.run(&ExecutionConfig::default());
         assert_eq!(finals, vec![0; 8]);
         assert!(trace.converged);
@@ -1599,7 +1680,7 @@ mod tests {
             } else {
                 ExecutionConfig::default()
             };
-            SyncEngine::new(&g, MinLabel, states.clone(), vec![(); 63]).run(&cfg)
+            SyncEngine::new(&g, MinLabel, states.clone(), &[(); 63]).run(&cfg)
         };
         let (s1, t1) = run(true);
         let (s2, t2) = run(false);
@@ -1622,7 +1703,7 @@ mod tests {
         let states: Vec<u32> = (0..200).rev().collect();
         let run = |mode: FrontierMode| {
             let cfg = ExecutionConfig::default().with_frontier_mode(mode);
-            SyncEngine::new(&g, MinLabel, states.clone(), vec![(); 199]).run(&cfg)
+            SyncEngine::new(&g, MinLabel, states.clone(), &[(); 199]).run(&cfg)
         };
         let strip = |t: &RunTrace| -> Vec<IterationStats> {
             t.iterations
@@ -1658,7 +1739,7 @@ mod tests {
         let states: Vec<u32> = (0..300).rev().collect();
         let run = |dir: DirectionMode| {
             let cfg = ExecutionConfig::default().with_direction(dir);
-            SyncEngine::new(&g, MinLabel, states.clone(), vec![(); 299]).run(&cfg)
+            SyncEngine::new(&g, MinLabel, states.clone(), &[(); 299]).run(&cfg)
         };
         let (s_auto, t_auto) = run(DirectionMode::Auto);
         let (s_push, t_push) = run(DirectionMode::Push);
@@ -1700,7 +1781,7 @@ mod tests {
         let run = |seq: bool| {
             let mut cfg = ExecutionConfig::default().with_direction(DirectionMode::Pull);
             cfg.sequential = seq;
-            SyncEngine::new(&g, MinLabel, states.clone(), vec![(); 199]).run(&cfg)
+            SyncEngine::new(&g, MinLabel, states.clone(), &[(); 199]).run(&cfg)
         };
         let (s1, t1) = run(true);
         let (s2, t2) = run(false);
@@ -1708,15 +1789,17 @@ mod tests {
         assert_eq!(t1.without_wall_clock(), t2.without_wall_clock());
     }
 
-    /// MinLabel that withholds the commutative-combine declaration (the
-    /// conservative default): `Auto` must never take the pull path for it.
-    struct CoyMinLabel;
+    /// A program whose combine is order-sensitive: a polynomial hash of the
+    /// messages in arrival order. Every vertex stays active and messages a
+    /// neighbor unless their states agree mod 3, so the frontier stays dense
+    /// while the run's states depend on every combine order it used.
+    struct OrderHash;
 
-    impl VertexProgram for CoyMinLabel {
-        type State = u32;
+    impl VertexProgram for OrderHash {
+        type State = u64;
         type EdgeData = ();
-        type Accum = u32;
-        type Message = u32;
+        type Accum = ();
+        type Message = u64;
         type Global = NoGlobal;
 
         fn gather_edges(&self) -> EdgeSet {
@@ -1727,49 +1810,77 @@ mod tests {
         }
         fn apply(
             &self,
-            v: VertexId,
-            state: &mut u32,
-            acc: Option<u32>,
-            msg: Option<&u32>,
-            g: &NoGlobal,
+            _v: VertexId,
+            state: &mut u64,
+            _acc: Option<()>,
+            msg: Option<&u64>,
+            _g: &NoGlobal,
             info: &mut ApplyInfo,
         ) {
-            MinLabel.apply(v, state, acc, msg, g, info)
+            info.ops += 1;
+            if let Some(&m) = msg {
+                *state = state.wrapping_mul(0x0100_0000_01B3) ^ m;
+            }
         }
         fn scatter(
             &self,
-            graph: &Graph,
-            v: VertexId,
-            e: graphmine_graph::EdgeId,
+            _graph: &Graph,
+            _v: VertexId,
+            _e: graphmine_graph::EdgeId,
             nbr: VertexId,
-            state: &u32,
-            nbr_state: &u32,
-            edge: &(),
-            g: &NoGlobal,
-        ) -> Option<u32> {
-            MinLabel.scatter(graph, v, e, nbr, state, nbr_state, edge, g)
+            state: &u64,
+            nbr_state: &u64,
+            _edge: &(),
+            _g: &NoGlobal,
+        ) -> Option<u64> {
+            (!(state ^ nbr_state).is_multiple_of(3)).then(|| state.wrapping_add(nbr as u64))
         }
-        fn combine(&self, into: &mut u32, from: u32) {
-            MinLabel.combine(into, from)
+        fn combine(&self, into: &mut u64, from: u64) {
+            *into = into.wrapping_mul(31).wrapping_add(from);
         }
     }
 
     #[test]
-    fn auto_respects_the_commutative_gate() {
-        // Dense frontier, so the cost model alone would choose pull; the
-        // missing capability declaration must keep the run on push.
-        let g = path(300);
-        let states: Vec<u32> = (0..300).rev().collect();
-        let engine = SyncEngine::new(&g, CoyMinLabel, states.clone(), vec![(); 299]);
-        let (finals, trace) = engine.run(&ExecutionConfig::default());
-        assert!(trace
+    fn auto_pulls_an_order_sensitive_combine_on_sorted_rows_only() {
+        let n = 300;
+        let states: Vec<u64> = (0..n as u64).map(|v| v * v + 1).collect();
+        let unit = vec![(); n - 1];
+        let run = |g: &Graph, dir: DirectionMode| {
+            let cfg = ExecutionConfig::with_max_iterations(12).with_direction(dir);
+            SyncEngine::new(g, OrderHash, states.clone(), &unit).run(&cfg)
+        };
+        // Sorted rows: Auto pulls exactly the rounds whose frontier
+        // out-degree (what forced push walks) reaches a third of the
+        // in-slots, and still equals forced push bitwise.
+        let sorted = path(n);
+        assert!(sorted.has_sorted_rows());
+        let (s_auto, t_auto) = run(&sorted, DirectionMode::Auto);
+        let (s_push, t_push) = run(&sorted, DirectionMode::Push);
+        assert_eq!(s_auto, s_push);
+        assert_eq!(t_auto.without_wall_clock(), t_push.without_wall_clock());
+        for (auto, push) in t_auto.iterations.iter().zip(&t_push.iterations) {
+            let dense = PULL_COST_FACTOR * push.push_edge_traversals >= sorted.total_in_slots();
+            let want = if dense {
+                DirectionChoice::Pull
+            } else {
+                DirectionChoice::Push
+            };
+            assert_eq!(auto.direction, want);
+        }
+        assert_eq!(t_auto.iterations[0].direction, DirectionChoice::Pull);
+        // The same path built without sorted rows: Auto never pulls.
+        let mut b = GraphBuilder::undirected(n).allow_parallel_edges();
+        for v in 0..(n as u32 - 1) {
+            b.push_edge(v, v + 1);
+        }
+        let unsorted = b.build();
+        assert!(!unsorted.has_sorted_rows());
+        let (s_unsorted, t_unsorted) = run(&unsorted, DirectionMode::Auto);
+        assert!(t_unsorted
             .iterations
             .iter()
             .all(|it| it.direction == DirectionChoice::Push));
-        // And the declared program agrees with the undeclared one exactly.
-        let (declared, _) =
-            SyncEngine::new(&g, MinLabel, states, vec![(); 299]).run(&ExecutionConfig::default());
-        assert_eq!(finals, declared);
+        assert_eq!(s_unsorted, s_push);
     }
 
     #[test]
@@ -1778,7 +1889,7 @@ mod tests {
         // forced mode must fall back to the push path untouched.
         let g = path(4);
         let cfg = ExecutionConfig::default().with_direction(DirectionMode::Pull);
-        let engine = SyncEngine::new(&g, NeighborAvg, vec![0.0, 1.0, 2.0, 3.0], vec![(); 3]);
+        let engine = SyncEngine::new(&g, NeighborAvg, vec![0.0, 1.0, 2.0, 3.0], &[(); 3]);
         let (_, trace) = engine.run(&cfg);
         assert_eq!(trace.num_iterations(), 5);
         for it in &trace.iterations {
@@ -1813,7 +1924,7 @@ mod tests {
         // has label 2, neighbor 1 has 1: no send. v1(1) -> v0(2): send. v2(0)
         // -> v1(1): send. So 2 messages.
         let g = path(3);
-        let engine = SyncEngine::new(&g, MinLabel, vec![2, 1, 0], vec![(); 2]);
+        let engine = SyncEngine::new(&g, MinLabel, vec![2, 1, 0], &[(); 2]);
         let (_, trace) = engine.run(&ExecutionConfig::default());
         let it0 = trace.iterations[0];
         assert_eq!(it0.active, 3);
@@ -1829,7 +1940,7 @@ mod tests {
         // Uniform labels: no scatter fires, so iteration 1 has no active
         // vertices and the run converges after exactly one iteration.
         let g = path(4);
-        let engine = SyncEngine::new(&g, MinLabel, vec![5; 4], vec![(); 3]);
+        let engine = SyncEngine::new(&g, MinLabel, vec![5; 4], &[(); 3]);
         let (_, trace) = engine.run(&ExecutionConfig::default());
         assert!(trace.converged);
         assert_eq!(trace.num_iterations(), 1);
@@ -1839,7 +1950,7 @@ mod tests {
     fn iteration_cap_reports_non_convergence() {
         let g = path(32);
         let states: Vec<u32> = (0..32).rev().collect();
-        let engine = SyncEngine::new(&g, MinLabel, states, vec![(); 31]);
+        let engine = SyncEngine::new(&g, MinLabel, states, &[(); 31]);
         let (_, trace) = engine.run(&ExecutionConfig::with_max_iterations(3));
         assert!(!trace.converged);
         assert_eq!(trace.num_iterations(), 3);
@@ -1906,7 +2017,7 @@ mod tests {
     #[test]
     fn always_active_and_eread_accounting() {
         let g = path(4); // 3 edges, degree sum 6
-        let engine = SyncEngine::new(&g, NeighborAvg, vec![0.0, 1.0, 2.0, 3.0], vec![(); 3]);
+        let engine = SyncEngine::new(&g, NeighborAvg, vec![0.0, 1.0, 2.0, 3.0], &[(); 3]);
         let (_, trace) = engine.run(&ExecutionConfig::default());
         assert_eq!(trace.num_iterations(), 5);
         for it in &trace.iterations {
@@ -1920,7 +2031,7 @@ mod tests {
     #[test]
     fn neighbor_avg_converges_toward_mean() {
         let g = path(4);
-        let engine = SyncEngine::new(&g, NeighborAvg, vec![0.0, 0.0, 0.0, 12.0], vec![(); 3]);
+        let engine = SyncEngine::new(&g, NeighborAvg, vec![0.0, 0.0, 0.0, 12.0], &[(); 3]);
         let (finals, _) = engine.run(&ExecutionConfig::default());
         // Mass spreads leftward; the exact fixed point is not the mean, but
         // every vertex must have moved off its initial extreme.
@@ -1974,7 +2085,7 @@ mod tests {
             fn combine(&self, _into: &mut (), _from: ()) {}
         }
         let g = path(5);
-        let engine = SyncEngine::new(&g, Flood, vec![false; 5], vec![(); 4]);
+        let engine = SyncEngine::new(&g, Flood, vec![false; 5], &[(); 4]);
         let (finals, trace) = engine.run(&ExecutionConfig::default());
         assert_eq!(finals, vec![true; 5]);
         // Active counts grow like a BFS frontier from one source.
@@ -2043,7 +2154,7 @@ mod tests {
             }
         }
         let (finals, trace) =
-            SyncEngine::new(&g, Hops, states, vec![(); n - 1]).run(&ExecutionConfig::default());
+            SyncEngine::new(&g, Hops, states, &vec![(); n - 1]).run(&ExecutionConfig::default());
         let expected: Vec<u32> = (0..n as u32).collect();
         assert_eq!(finals, expected);
         assert!(trace.converged);
@@ -2060,7 +2171,7 @@ mod tests {
         let states: Vec<u32> = (0..32).rev().collect();
         let flag = Arc::new(AtomicBool::new(true));
         let cfg = ExecutionConfig::default().with_cancel_flag(flag);
-        let engine = SyncEngine::new(&g, MinLabel, states, vec![(); 31]);
+        let engine = SyncEngine::new(&g, MinLabel, states, &[(); 31]);
         let (_, trace) = engine.run(&cfg);
         assert!(!trace.converged);
         assert_eq!(trace.num_iterations(), 0);
@@ -2111,7 +2222,7 @@ mod tests {
             after: 2,
         };
         let cfg = ExecutionConfig::default().with_cancel_flag(flag);
-        let engine = SyncEngine::new(&g, program, vec![0; 8], vec![(); 7]);
+        let engine = SyncEngine::new(&g, program, vec![0; 8], &[(); 7]);
         let (_, trace) = engine.run(&cfg);
         // Flag raised while iteration 2 ran, so iteration 3 never starts.
         assert!(!trace.converged);
@@ -2121,7 +2232,7 @@ mod tests {
     #[test]
     fn empty_graph_converges_immediately() {
         let g = GraphBuilder::undirected(0).build();
-        let engine = SyncEngine::new(&g, MinLabel, vec![], vec![]);
+        let engine = SyncEngine::new(&g, MinLabel, vec![], &[]);
         let (finals, trace) = engine.run(&ExecutionConfig::default());
         assert!(finals.is_empty());
         assert!(trace.converged);
@@ -2131,7 +2242,7 @@ mod tests {
     #[test]
     fn trace_graph_dimensions() {
         let g = path(6);
-        let engine = SyncEngine::new(&g, MinLabel, vec![9; 6], vec![(); 5]);
+        let engine = SyncEngine::new(&g, MinLabel, vec![9; 6], &[(); 5]);
         let (_, trace) = engine.run(&ExecutionConfig::default());
         assert_eq!(trace.num_vertices, 6);
         assert_eq!(trace.num_edges, 5);

@@ -337,7 +337,7 @@ pub(crate) fn split_runs<'a, M>(
 /// Run-lifetime buffers of the scatter/exchange phase: one [`TaskBuf`] per
 /// task and one [`Outbox`] per push-scatter task, grown to the largest task
 /// count seen and reused every iteration — bounded by the number of tasks
-/// (plus, for outboxes, the messages one iteration sends), never by |E|.
+/// (plus, for outboxes, the messages one push wave sends), never by |E|.
 pub(crate) struct ScatterScratch<M> {
     pub bufs: Vec<TaskBuf>,
     pub outboxes: Vec<Outbox<M>>,

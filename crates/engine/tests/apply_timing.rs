@@ -84,7 +84,7 @@ fn slow_apply_in_one_chunk_is_counted_once() {
             sequential,
             ..ExecutionConfig::default()
         };
-        let engine = SyncEngine::new(&g, program.clone(), vec![0u32; 8], vec![(); 7]);
+        let engine = SyncEngine::new(&g, program.clone(), vec![0u32; 8], &[(); 7]);
         let (states, trace) = engine.run(&cfg);
         assert_eq!(states, vec![1; 8]);
         assert_counts_each_sleep_once(&trace, &program);
@@ -155,9 +155,10 @@ fn cheap_apply_registers_on_sparse_and_dense_paths() {
     let n = 300;
     let g = path(n);
     let states: Vec<u32> = (0..n as u32).collect();
+    let edge_data = vec![(); n - 1];
     for mode in [FrontierMode::Sparse, FrontierMode::Dense] {
         let cfg = ExecutionConfig::default().with_frontier_mode(mode);
-        let engine = SyncEngine::new(&g, MinLabel, states.clone(), vec![(); n - 1]);
+        let engine = SyncEngine::new(&g, MinLabel, states.clone(), &edge_data);
         let (_, trace) = engine.run(&cfg);
         assert!(trace.converged);
         for (i, it) in trace.iterations.iter().enumerate() {

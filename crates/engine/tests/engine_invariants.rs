@@ -92,7 +92,7 @@ fn run_probe(graph: &Graph, rounds: usize, sequential: bool) -> (Vec<u64>, RunTr
         graph,
         FullProbe { rounds },
         vec![1u64; graph.num_vertices()],
-        vec![(); graph.num_edges()],
+        &vec![(); graph.num_edges()],
     )
     .run(&cfg)
 }
@@ -219,11 +219,12 @@ fn message_activation_is_bfs_frontier() {
         }
     }
     let graph = powerlaw_graph(&PowerLawConfig::new(4_000, 2.5, 17));
+    let edge_data = vec![(); graph.num_edges()];
     let engine = SyncEngine::new(
         &graph,
         Flood,
         vec![u32::MAX; graph.num_vertices()],
-        vec![(); graph.num_edges()],
+        &edge_data,
     );
     let (hops, trace) = engine.run(&ExecutionConfig::default());
     let bfs = graphmine_graph::bfs_distances(&graph, 0, graphmine_graph::Direction::Out);

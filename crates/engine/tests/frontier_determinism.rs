@@ -164,7 +164,7 @@ fn pushrank_bit_identical_across_thread_counts() {
     let init = vec![1.0f64; n];
     let run = |cfg: ExecutionConfig| {
         let edge_data = vec![(); g.num_edges()];
-        SyncEngine::new(&g, PushRank, init.clone(), edge_data).run(&cfg)
+        SyncEngine::new(&g, PushRank, init.clone(), &edge_data).run(&cfg)
     };
 
     let (ref_states, ref_trace) = run(ExecutionConfig::default().sequential());
@@ -190,7 +190,7 @@ fn pushrank_forced_push_bit_identical_across_thread_counts() {
     let init = vec![1.0f64; n];
     let run = |cfg: ExecutionConfig| {
         let edge_data = vec![(); g.num_edges()];
-        SyncEngine::new(&g, PushRank, init.clone(), edge_data)
+        SyncEngine::new(&g, PushRank, init.clone(), &edge_data)
             .run(&cfg.with_direction(DirectionMode::Push))
     };
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -213,7 +213,7 @@ fn pushrank_forced_push_bit_identical_across_thread_counts() {
     let pull = |threads: usize| {
         run_in_pool(threads, || {
             let edge_data = vec![(); g.num_edges()];
-            SyncEngine::new(&g, PushRank, init.clone(), edge_data)
+            SyncEngine::new(&g, PushRank, init.clone(), &edge_data)
                 .run(&ExecutionConfig::default().with_direction(DirectionMode::Pull))
         })
     };
@@ -248,7 +248,7 @@ fn compressed_adjacency_bit_identical_across_thread_counts() {
     let rank_init = vec![1.0f64; n];
     let rank = |g: &Graph, cfg: ExecutionConfig| {
         let edge_data = vec![(); g.num_edges()];
-        SyncEngine::new(g, PushRank, rank_init.clone(), edge_data).run(&cfg)
+        SyncEngine::new(g, PushRank, rank_init.clone(), &edge_data).run(&cfg)
     };
     let diffuse_init = vec![0.0f64; n];
     let diffuse = |g: &Graph, cfg: ExecutionConfig| {
@@ -257,7 +257,7 @@ fn compressed_adjacency_bit_identical_across_thread_counts() {
             max_iterations: 40,
             ..cfg
         };
-        SyncEngine::new(g, Diffuse, diffuse_init.clone(), edge_data).run(&cfg)
+        SyncEngine::new(g, Diffuse, diffuse_init.clone(), &edge_data).run(&cfg)
     };
 
     for dir in [
@@ -294,7 +294,7 @@ fn diffusion_bit_identical_across_threads_and_frontier_modes() {
     let init = vec![0.0f64; n];
     let run = |cfg: ExecutionConfig| {
         let edge_data = vec![(); g.num_edges()];
-        SyncEngine::new(&g, Diffuse, init.clone(), edge_data)
+        SyncEngine::new(&g, Diffuse, init.clone(), &edge_data)
             .run(&ExecutionConfig::with_max_iterations(40).with_frontier_mode(cfg.frontier_mode))
     };
 

@@ -60,9 +60,8 @@ pub struct Metrics {
 
 /// Log-bucketed latency histograms (microseconds) for each stage of a
 /// job's life, recorded where `job.rs` stamps its stage boundaries:
-/// enqueue → dequeue → cache-resolve → execute → respond. Exported in
-/// full by `/metrics` so external tools can diff snapshots and compute
-/// exact window percentiles.
+/// enqueue → dequeue → cache-resolve → execute → respond. `/metrics`
+/// exports each stage's percentile summary.
 #[derive(Debug, Default)]
 pub struct StageHistograms {
     /// Submission to worker pickup (enqueue → dequeue).
@@ -85,16 +84,10 @@ impl StageHistograms {
         hist.lock().record((ms * 1000.0).max(0.0) as u64);
     }
 
-    /// JSON rendering: per stage, a percentile summary plus the full
-    /// serialized histogram (for snapshot differencing).
+    /// JSON rendering: per stage, a percentile summary.
     pub fn json(&self) -> serde_json::Value {
-        let render = |hist: &Mutex<LogHistogram>| {
-            let h = hist.lock();
-            json!({
-                "summary": h.summary_json("us"),
-                "histogram": serde_json::to_value(&*h).expect("histogram serializes"),
-            })
-        };
+        let render =
+            |hist: &Mutex<LogHistogram>| json!({ "summary": hist.lock().summary_json("us") });
         json!({
             "queue_wait": render(&self.queue_wait),
             "cache_load": render(&self.cache_load),
@@ -248,11 +241,10 @@ mod tests {
         assert_eq!(v["queue_wait"]["summary"]["count"], 1);
         assert_eq!(v["cache_load"]["summary"]["count"], 0);
         assert_eq!(v["execute"]["summary"]["count"], 1);
-        // The exported histogram deserializes back into the same type.
-        let h: LogHistogram = serde_json::from_value(v["execute"]["histogram"].clone()).unwrap();
-        assert_eq!(h.count(), 1);
+        // Only the summary is exported.
+        assert_eq!(v["execute"].as_object().unwrap().len(), 1);
         // 250 ms = 250_000 µs, within the 3.1% bucket quantization.
-        let p50 = h.value_at_quantile(0.5);
+        let p50 = v["execute"]["summary"]["p50_us"].as_u64().unwrap();
         assert!((242_000..=258_000).contains(&p50), "p50 = {p50}");
     }
 

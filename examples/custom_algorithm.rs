@@ -115,7 +115,9 @@ fn main() {
             changed: true,
         })
         .collect();
-    let engine = SyncEngine::new(graph, LabelPropagation, states, vec![(); graph.num_edges()]);
+    // The engine borrows per-edge data; LPA has none, so a unit slice.
+    let edge_data = vec![(); graph.num_edges()];
+    let engine = SyncEngine::new(graph, LabelPropagation, states, &edge_data);
     let (finals, lpa_trace) = engine.run(&ExecutionConfig::with_max_iterations(100));
     let mut communities: Vec<u32> = finals.iter().map(|s| s.label).collect();
     communities.sort_unstable();

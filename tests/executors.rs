@@ -20,7 +20,7 @@ fn cc_same_fixed_point_on_all_three_executors() {
     let expected = union_find_components(&graph);
 
     let (sync_labels, sync_trace) =
-        SyncEngine::new(&graph, ConnectedComponents, labels.clone(), edges.clone())
+        SyncEngine::new(&graph, ConnectedComponents, labels.clone(), &edges)
             .run(&ExecutionConfig::default());
     assert_eq!(sync_labels, expected);
     assert!(sync_trace.converged);
@@ -29,7 +29,7 @@ fn cc_same_fixed_point_on_all_three_executors() {
         &graph,
         &ConnectedComponents,
         labels.clone(),
-        edges.clone(),
+        &edges,
         NoGlobal,
         &AsyncConfig::default(),
     );
@@ -55,19 +55,15 @@ fn sssp_same_distances_on_all_three_executors() {
     let program = ShortestPath { source: 0 };
     let init = vec![f64::INFINITY; graph.num_vertices()];
 
-    let (sync_dist, _) = SyncEngine::new(
-        &graph,
-        ShortestPath { source: 0 },
-        init.clone(),
-        weights.clone(),
-    )
-    .run(&ExecutionConfig::default());
+    let (sync_dist, _) =
+        SyncEngine::new(&graph, ShortestPath { source: 0 }, init.clone(), &weights)
+            .run(&ExecutionConfig::default());
 
     let (async_dist, stats) = async_run(
         &graph,
         &program,
         init.clone(),
-        weights.clone(),
+        &weights,
         NoGlobal,
         &AsyncConfig::default(),
     );
@@ -103,15 +99,14 @@ fn async_does_no_more_updates_than_it_needs() {
     let graph = powerlaw_graph(&PowerLawConfig::new(5_000, 2.5, 3));
     let labels: Vec<u32> = (0..graph.num_vertices() as u32).collect();
     let edges = vec![(); graph.num_edges()];
-    let (_, sync_trace) =
-        SyncEngine::new(&graph, ConnectedComponents, labels.clone(), edges.clone())
-            .run(&ExecutionConfig::default());
+    let (_, sync_trace) = SyncEngine::new(&graph, ConnectedComponents, labels.clone(), &edges)
+        .run(&ExecutionConfig::default());
     let sync_updates: u64 = sync_trace.iterations.iter().map(|it| it.updates).sum();
     let (_, stats) = async_run(
         &graph,
         &ConnectedComponents,
         labels,
-        edges,
+        &edges,
         NoGlobal,
         &AsyncConfig::default(),
     );
@@ -142,14 +137,7 @@ fn priority_scheduler_wastes_fewer_sssp_updates() {
         if priority {
             cfg = cfg.with_priority_scheduler();
         }
-        async_run(
-            &graph,
-            &program,
-            init.clone(),
-            weights.clone(),
-            NoGlobal,
-            &cfg,
-        )
+        async_run(&graph, &program, init.clone(), &weights, NoGlobal, &cfg)
     };
     let (fifo_dist, fifo_stats) = run(false);
     let (prio_dist, prio_stats) = run(true);
