@@ -11,92 +11,131 @@
 //! both paths: under the default `Auto` direction its dense rounds pull
 //! over in-rows, combining each destination's packets in place with no
 //! outbox, and its sparse rounds push.
+//!
+//! States and messages are `Copy` values of fixed size: a vertex's packet
+//! table holds at most [`MAX_DEGREE`] packets inline, and the program is
+//! generic over its label width `L`, so a run allocates nothing per vertex
+//! beyond the engine's own buffers.
 
 use graphmine_engine::{ApplyInfo, EdgeSet, ExecutionConfig, RunTrace, SyncEngine, VertexProgram};
 use graphmine_gen::GridMrf;
 use graphmine_graph::{EdgeId, Graph, VertexId};
 use serde::{Deserialize, Serialize};
 
-/// Most labels a vertex can carry. Beliefs, priors and message payloads
-/// are fixed-size inline arrays of this length (like `linalg::Factor`), so
-/// no message or state sync touches the heap per label vector. Sized with
-/// the push outbox in mind: every in-flight message is one
-/// `(VertexId, LbpMessage)` entry that embeds a [`Labels`].
+/// Most labels a vertex can carry. [`run_lbp_on`] runs a program of label
+/// width `L = 2` for up to two labels and `L = MAX_LABELS` above that.
 pub const MAX_LABELS: usize = 4;
 
-/// One value per label; entries at and beyond the program's `num_labels`
-/// stay `0.0` and are never read.
-pub type Labels = [f64; MAX_LABELS];
+/// Most senders a vertex can hear from: the in-degree of an interior
+/// vertex of a 4-neighbour grid. Packet tables hold this many packets
+/// inline, so [`run_lbp_on`] rejects a graph with a larger in-degree.
+pub const MAX_DEGREE: usize = 4;
 
-fn to_labels(values: &[f64]) -> Labels {
-    let mut out = [0.0; MAX_LABELS];
+fn to_labels<const L: usize>(values: &[f64]) -> [f64; L] {
+    let mut out = [0.0; L];
     out[..values.len()].copy_from_slice(values);
     out
 }
 
-/// One sender's per-label log message.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct Packet {
+/// One sender's per-label log message; entries at and beyond the
+/// program's `num_labels` stay `0.0` and are never read.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Packet<const L: usize> {
     /// The vertex that sent it.
     pub sender: VertexId,
     /// The log message, one entry per label.
-    pub values: Labels,
+    pub values: [f64; L],
+}
+
+impl<const L: usize> Default for Packet<L> {
+    fn default() -> Packet<L> {
+        Packet {
+            sender: 0,
+            values: [0.0; L],
+        }
+    }
+}
+
+/// Up to [`MAX_DEGREE`] packets, inline, in arrival order. Slots past
+/// `len` hold default packets. Serialized as the sequence of its packets.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Packets<const L: usize> {
+    len: usize,
+    slots: [Packet<L>; MAX_DEGREE],
+}
+
+impl<const L: usize> Packets<L> {
+    /// The packets in arrival order.
+    fn as_slice(&self) -> &[Packet<L>] {
+        &self.slots[..self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Packet<L>] {
+        &mut self.slots[..self.len]
+    }
+
+    fn push(&mut self, packet: Packet<L>) {
+        assert!(
+            self.len < MAX_DEGREE,
+            "an LBP vertex hears from at most MAX_DEGREE = {MAX_DEGREE} senders"
+        );
+        self.slots[self.len] = packet;
+        self.len += 1;
+    }
+}
+
+impl<const L: usize> Serialize for Packets<L> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.as_slice().serialize(serializer)
+    }
+}
+
+impl<'de, const L: usize> Deserialize<'de> for Packets<L> {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Packets<L>, D::Error> {
+        let packets = Vec::<Packet<L>>::deserialize(deserializer)?;
+        if packets.len() > MAX_DEGREE {
+            return Err(serde::de::Error::custom(format!(
+                "{} packets, more than MAX_DEGREE = {MAX_DEGREE}",
+                packets.len()
+            )));
+        }
+        let mut out = Packets::default();
+        for packet in packets {
+            out.push(packet);
+        }
+        Ok(out)
+    }
 }
 
 /// The packets addressed to one vertex in one iteration, in arrival order.
-/// `scatter` emits exactly one packet, held inline; only a destination
-/// that combines a second one allocates (once, for the spill).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct LbpMessage {
-    first: Packet,
-    rest: Vec<Packet>,
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct LbpMessage<const L: usize> {
+    packets: Packets<L>,
 }
 
-impl LbpMessage {
+impl<const L: usize> LbpMessage<L> {
     /// The packets in arrival order.
-    pub fn packets(&self) -> impl Iterator<Item = &Packet> {
-        std::iter::once(&self.first).chain(&self.rest)
+    pub fn packets(&self) -> impl Iterator<Item = &Packet<L>> {
+        self.packets.as_slice().iter()
     }
 }
 
 /// Per-vertex LBP state.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
-pub struct LbpState {
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct LbpState<const L: usize> {
     /// Log-domain belief per label.
-    pub belief: Labels,
-    /// Latest message from each neighbor, keyed by sender (small linear
-    /// map — grid degree is ≤ 4), in first-arrival order.
-    incoming: Vec<Packet>,
+    pub belief: [f64; L],
+    /// Latest message from each neighbor, keyed by sender (a linear map of
+    /// at most [`MAX_DEGREE`] entries), in first-arrival order.
+    incoming: Packets<L>,
     /// Belief movement in the last apply.
     pub delta: f64,
 }
 
-/// The engine double-buffers states and re-syncs the buffers every
-/// iteration, so both directions of the copy keep `incoming`'s buffer:
-/// `clone` carries the capacity reserved at start over to the copy, and
-/// `clone_from` overwrites in place.
-impl Clone for LbpState {
-    fn clone(&self) -> LbpState {
-        let mut incoming = Vec::with_capacity(self.incoming.capacity());
-        incoming.extend_from_slice(&self.incoming);
-        LbpState {
-            belief: self.belief,
-            incoming,
-            delta: self.delta,
-        }
-    }
-
-    fn clone_from(&mut self, source: &LbpState) {
-        self.belief = source.belief;
-        self.incoming.clone_from(&source.incoming);
-        self.delta = source.delta;
-    }
-}
-
-/// The LBP vertex program.
-pub struct Lbp {
+/// The LBP vertex program, `L` labels wide.
+pub struct Lbp<const L: usize> {
     /// Per-vertex prior log-potentials.
-    priors: Vec<Labels>,
+    priors: Vec<[f64; L]>,
     /// Potts agreement bonus.
     smoothing: f64,
     /// Number of labels.
@@ -105,17 +144,21 @@ pub struct Lbp {
     pub tolerance: f64,
 }
 
-impl Lbp {
+impl<const L: usize> Lbp<L> {
     /// Build a program from priors and a Potts smoothing strength.
     ///
     /// # Panics
     ///
-    /// When `num_labels` exceeds [`MAX_LABELS`] or a prior does not have
-    /// `num_labels` entries.
-    pub fn new(priors: &[Vec<f64>], smoothing: f64, num_labels: usize) -> Lbp {
+    /// When `num_labels` exceeds [`MAX_LABELS`] or the width `L`, or a
+    /// prior does not have `num_labels` entries.
+    pub fn new(priors: &[Vec<f64>], smoothing: f64, num_labels: usize) -> Lbp<L> {
         assert!(
             num_labels <= MAX_LABELS,
             "LBP supports at most MAX_LABELS = {MAX_LABELS} labels, got {num_labels}"
+        );
+        assert!(
+            num_labels <= L,
+            "an LBP program of width {L} holds at most {L} labels, got {num_labels}"
         );
         assert!(priors.iter().all(|p| p.len() == num_labels));
         Lbp {
@@ -127,11 +170,11 @@ impl Lbp {
     }
 }
 
-impl VertexProgram for Lbp {
-    type State = LbpState;
+impl<const L: usize> VertexProgram for Lbp<L> {
+    type State = LbpState<L>;
     type EdgeData = ();
     type Accum = ();
-    type Message = LbpMessage;
+    type Message = LbpMessage<L>;
     /// Current iteration number (scatter must fire unconditionally on
     /// iteration 0 to seed the message flow).
     type Global = usize;
@@ -144,16 +187,16 @@ impl VertexProgram for Lbp {
         EdgeSet::Out
     }
 
-    fn before_iteration(&self, iter: usize, _states: &[LbpState], global: &mut usize) {
+    fn before_iteration(&self, iter: usize, _states: &[LbpState<L>], global: &mut usize) {
         *global = iter;
     }
 
     fn apply(
         &self,
         v: VertexId,
-        state: &mut LbpState,
+        state: &mut LbpState<L>,
         _acc: Option<()>,
-        msg: Option<&LbpMessage>,
+        msg: Option<&LbpMessage<L>>,
         _global: &usize,
         info: &mut ApplyInfo,
     ) {
@@ -162,6 +205,7 @@ impl VertexProgram for Lbp {
             for packet in msg.packets() {
                 match state
                     .incoming
+                    .as_mut_slice()
                     .iter_mut()
                     .find(|p| p.sender == packet.sender)
                 {
@@ -173,7 +217,8 @@ impl VertexProgram for Lbp {
         // Belief = prior + sum of incoming messages.
         let l = self.num_labels;
         let mut belief = self.priors[v as usize];
-        for packet in &state.incoming {
+        let incoming = state.incoming.as_slice();
+        for packet in incoming {
             for (b, x) in belief[..l].iter_mut().zip(&packet.values[..l]) {
                 *b += x;
             }
@@ -186,7 +231,7 @@ impl VertexProgram for Lbp {
         for b in &mut belief[..l] {
             *b -= max;
         }
-        info.ops += (l * (state.incoming.len() + 1)) as u64;
+        info.ops += (l * (incoming.len() + 1)) as u64;
         state.delta = belief[..l]
             .iter()
             .zip(&state.belief[..l])
@@ -201,11 +246,11 @@ impl VertexProgram for Lbp {
         v: VertexId,
         _e: EdgeId,
         nbr: VertexId,
-        state: &LbpState,
-        _nbr_state: &LbpState,
+        state: &LbpState<L>,
+        _nbr_state: &LbpState<L>,
         _edge: &(),
         iter: &usize,
-    ) -> Option<LbpMessage> {
+    ) -> Option<LbpMessage<L>> {
         if *iter > 0 && state.delta <= self.tolerance {
             return None;
         }
@@ -213,11 +258,12 @@ impl VertexProgram for Lbp {
         // max-product over source labels with the Potts bonus.
         let reverse = state
             .incoming
+            .as_slice()
             .iter()
             .find(|p| p.sender == nbr)
             .map(|p| &p.values);
         let l = self.num_labels;
-        let mut out = [0.0; MAX_LABELS];
+        let mut out = [0.0; L];
         out[..l].fill(f64::NEG_INFINITY);
         for (target, best) in out.iter_mut().enumerate().take(l) {
             for source in 0..l {
@@ -237,27 +283,32 @@ impl VertexProgram for Lbp {
         for x in &mut out[..l] {
             *x -= max;
         }
-        Some(LbpMessage {
-            first: Packet {
-                sender: v,
-                values: out,
-            },
-            rest: Vec::new(),
-        })
+        let mut packets = Packets::default();
+        packets.push(Packet {
+            sender: v,
+            values: out,
+        });
+        Some(LbpMessage { packets })
     }
 
     /// Concatenation is order-sensitive: apply reads the packets in
     /// arrival order. The engine combines in ascending sender order on the
     /// push and the pull path alike, so runs are reproducible and every
     /// direction gives the same bits.
-    fn combine(&self, into: &mut LbpMessage, from: LbpMessage) {
-        into.rest.push(from.first);
-        into.rest.extend(from.rest);
+    fn combine(&self, into: &mut LbpMessage<L>, from: LbpMessage<L>) {
+        for packet in from.packets() {
+            into.packets.push(*packet);
+        }
     }
 }
 
 /// Run LBP on any graph with the given priors. Returns MAP labels (argmax
 /// belief) and the behavior trace.
+///
+/// # Panics
+///
+/// When a vertex's in-degree exceeds [`MAX_DEGREE`], or as [`Lbp::new`]
+/// does.
 pub fn run_lbp_on(
     graph: &Graph,
     priors: &[Vec<f64>],
@@ -265,14 +316,35 @@ pub fn run_lbp_on(
     num_labels: usize,
     config: &ExecutionConfig,
 ) -> (Vec<usize>, RunTrace) {
+    if num_labels <= 2 {
+        run_width::<2>(graph, priors, smoothing, num_labels, config)
+    } else {
+        run_width::<MAX_LABELS>(graph, priors, smoothing, num_labels, config)
+    }
+}
+
+/// [`run_lbp_on`] with a program of label width `L`.
+fn run_width<const L: usize>(
+    graph: &Graph,
+    priors: &[Vec<f64>],
+    smoothing: f64,
+    num_labels: usize,
+    config: &ExecutionConfig,
+) -> (Vec<usize>, RunTrace) {
     assert_eq!(priors.len(), graph.num_vertices());
-    let program = Lbp::new(priors, smoothing, num_labels);
-    let states: Vec<LbpState> = graph
-        .vertices()
-        .map(|v| LbpState {
-            belief: program.priors[v as usize],
-            // One slot per possible sender, so apply never grows it.
-            incoming: Vec::with_capacity(graph.in_degree(v)),
+    if let Some(v) = graph.vertices().find(|&v| graph.in_degree(v) > MAX_DEGREE) {
+        panic!(
+            "LBP supports in-degree at most MAX_DEGREE = {MAX_DEGREE}, vertex {v} has {}",
+            graph.in_degree(v)
+        );
+    }
+    let program = Lbp::<L>::new(priors, smoothing, num_labels);
+    let states: Vec<LbpState<L>> = program
+        .priors
+        .iter()
+        .map(|&belief| LbpState {
+            belief,
+            incoming: Packets::default(),
             delta: f64::INFINITY,
         })
         .collect();
@@ -419,7 +491,47 @@ mod tests {
     #[should_panic(expected = "at most MAX_LABELS = 4 labels, got 5")]
     fn too_many_labels_are_rejected_by_name() {
         let priors = vec![vec![0.0; MAX_LABELS + 1]; 2];
-        Lbp::new(&priors, 1.0, MAX_LABELS + 1);
+        Lbp::<MAX_LABELS>::new(&priors, 1.0, MAX_LABELS + 1);
+    }
+
+    /// Three labels run the `L = MAX_LABELS` program; on a tree it is
+    /// still exact.
+    #[test]
+    fn three_labels_are_exact_on_tree() {
+        let g = GraphBuilder::undirected(5)
+            .edge(0, 1)
+            .edge(1, 2)
+            .edge(1, 3)
+            .edge(3, 4)
+            .build();
+        let priors = vec![
+            vec![2.0, 0.0, 0.3],
+            vec![0.1, 0.2, 0.0],
+            vec![0.0, 1.5, 0.1],
+            vec![0.0, 0.1, 0.3],
+            vec![0.2, 0.0, 2.0],
+        ];
+        let (labels, trace) = run_lbp_on(&g, &priors, 0.5, 3, &ExecutionConfig::default());
+        assert_eq!(labels, brute_force_map(&g, &priors, 0.5, 3));
+        assert!(labels.contains(&2), "third label never chosen: {labels:?}");
+        assert!(trace.converged);
+    }
+
+    #[test]
+    #[should_panic(expected = "in-degree at most MAX_DEGREE = 4, vertex 0 has 5")]
+    fn in_degree_above_max_degree_is_rejected_by_name() {
+        let mut builder = GraphBuilder::undirected(6);
+        for leaf in 1..6 {
+            builder = builder.edge(0, leaf);
+        }
+        let priors = vec![vec![0.0, 0.0]; 6];
+        run_lbp_on(
+            &builder.build(),
+            &priors,
+            1.0,
+            2,
+            &ExecutionConfig::default(),
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! LBP's heap traffic does not scale with its message count.
+//! LBP allocates nothing per vertex.
 //!
-//! Messages and beliefs are fixed-size inline values and the engine's
-//! state syncs reuse each vertex's packet buffer, so what a run allocates
-//! is set by the vertex count (initial states, one packet spill per
-//! destination per iteration, the engine's run-lifetime scratch) — not by
-//! how many messages flow. This file holds one test because the counting
-//! allocator is global to the test binary.
+//! States and messages are fixed-size `Copy` values (packet tables held
+//! inline, label arrays sized to the run), so a run allocates only the
+//! engine's own buffers: the state double buffer, the inbox, frontier and
+//! task scratch, the trace. Their number follows neither the vertex count
+//! nor how many messages flow. This file holds one test because the
+//! counting allocator is global to the test binary.
 
 use graphmine_algos::lbp::run_lbp;
 use graphmine_engine::ExecutionConfig;
@@ -60,15 +60,10 @@ fn allocations_follow_vertices_not_messages() {
     let ((short, short_msgs), (long, _)) =
         pool.install(|| (run_counted(&mrf, 3), run_counted(&mrf, 20)));
     assert!(short_msgs > 8 * n, "only {short_msgs} messages sent");
-    // Initial states and their double buffer (2|V|) plus at most one
-    // spill per destination in each of the three message-carrying
-    // iterations (3|V|). One allocation per message would alone exceed
-    // the bound (9|V| messages), and a state sync that deep-clones would
-    // make the fourth iteration of the longer cap cost |V| more.
-    assert!(short <= 6 * n, "{short} allocations for {n} vertices");
-    assert!(long <= 6 * n, "{long} allocations for {n} vertices");
-    assert!(
-        long.abs_diff(short) < n,
-        "{short} allocations at cap 3, {long} at cap 20"
-    );
+    // Measured: 104 allocations at cap 3 and 119 at cap 20 for 4 096
+    // vertices. One allocation per vertex (a heap packet table, a spill
+    // per destination) or per message (9|V| of them) would exceed the
+    // bound many times over.
+    assert!(short <= n / 16, "{short} allocations for {n} vertices");
+    assert!(long <= n / 16, "{long} allocations for {n} vertices");
 }

@@ -1,7 +1,7 @@
 //! LBP's inline message/state layout changes what is allocated and what a
 //! checkpoint looks like — never what is computed.
 
-use graphmine_algos::lbp::{run_lbp, LbpMessage, LbpState};
+use graphmine_algos::lbp::{run_lbp, LbpMessage, LbpState, Packet, MAX_DEGREE};
 use graphmine_engine::{
     read_latest_checkpoint, write_checkpoint_generation, CheckpointPolicy, CheckpointStats,
     DirectionChoice, DirectionMode, EngineCheckpoint, ExecutionConfig, FaultKind, FaultPlan,
@@ -107,31 +107,45 @@ struct NestedState {
 
 type NestedMessage = Vec<(VertexId, Vec<f64>)>;
 
-/// Schema drift must never lose a job: a checkpoint in the old shape is
-/// one more unreadable generation, and the run starts over.
-#[test]
-fn old_shape_checkpoint_is_skipped_and_the_job_restarts() {
-    let mrf = GridMrf::generate(8, 2, 5);
+/// A packet as the spill layout serialized it: four values whatever the
+/// label count.
+#[derive(Serialize, Deserialize)]
+struct SpillPacket {
+    sender: VertexId,
+    values: [f64; 4],
+}
+
+/// The state the spill layout serialized: a `Vec` packet table.
+#[derive(Serialize, Deserialize)]
+struct SpillState {
+    belief: [f64; 4],
+    incoming: Vec<SpillPacket>,
+    delta: f64,
+}
+
+/// The message the spill layout serialized: one inline packet, later
+/// packets in a `Vec`.
+#[derive(Serialize, Deserialize)]
+struct SpillMessage {
+    first: SpillPacket,
+    rest: Vec<SpillPacket>,
+}
+
+/// An 8 × 8 grid checkpoint at boundary 1 with the given states and inbox.
+fn fixture<S, M>(
+    mrf: &GridMrf,
+    states: Vec<S>,
+    inbox: Vec<(VertexId, M)>,
+) -> EngineCheckpoint<S, M, usize> {
     let (n, m) = (mrf.graph.num_vertices(), mrf.graph.num_edges());
-    let stats = Arc::new(CheckpointStats::default());
-    let policy =
-        CheckpointPolicy::new(1, ckpt_dir("old-shape"), "lbp").with_stats(Arc::clone(&stats));
-    let old = EngineCheckpoint::<NestedState, NestedMessage, usize> {
+    EngineCheckpoint {
         version: CHECKPOINT_FORMAT_VERSION,
         num_vertices: n as u64,
         num_edges: m as u64,
         completed_iterations: 1,
-        states: mrf
-            .priors
-            .iter()
-            .map(|p| NestedState {
-                belief: p.clone(),
-                incoming: vec![(0, vec![0.0, -1.0])],
-                delta: 0.5,
-            })
-            .collect(),
+        states,
         frontier: (0..n as VertexId).collect(),
-        inbox: vec![(1, vec![(0, vec![0.0, -1.0]), (2, vec![-0.5, 0.0])])],
+        inbox,
         global: 1,
         trace: RunTrace {
             num_vertices: n as u64,
@@ -139,27 +153,117 @@ fn old_shape_checkpoint_is_skipped_and_the_job_restarts() {
             iterations: vec![IterationStats::default()],
             converged: false,
         },
-    };
+    }
+}
+
+/// Schema drift must never lose a job: `old`, a resumable checkpoint of
+/// an earlier layout, is one more unreadable generation for today's
+/// types, and the run starts over.
+fn assert_skipped_and_restarted<S, M>(mrf: &GridMrf, tag: &str, old: EngineCheckpoint<S, M, usize>)
+where
+    S: Serialize + serde::de::DeserializeOwned,
+    M: Serialize + serde::de::DeserializeOwned,
+{
+    let (n, m) = (mrf.graph.num_vertices(), mrf.graph.num_edges());
+    let stats = Arc::new(CheckpointStats::default());
+    let policy = CheckpointPolicy::new(1, ckpt_dir(tag), "lbp").with_stats(Arc::clone(&stats));
     write_checkpoint_generation(&policy, &old).expect("write fixture");
     // Read as what it is, the fixture is a resumable checkpoint …
-    let (nested, skipped) =
-        read_latest_checkpoint::<NestedState, NestedMessage, usize>(&policy, n, m);
-    assert!(nested.is_some() && skipped == 0);
+    let (same, skipped) = read_latest_checkpoint::<S, M, usize>(&policy, n, m);
+    assert!(same.is_some() && skipped == 0);
     // … read as today's types it is skipped, not an error.
-    let (inline, skipped) = read_latest_checkpoint::<LbpState, LbpMessage, usize>(&policy, n, m);
+    let (inline, skipped) =
+        read_latest_checkpoint::<LbpState<2>, LbpMessage<2>, usize>(&policy, n, m);
     assert!(inline.is_none());
     assert_eq!(skipped, 1);
 
-    let (fresh_labels, fresh_trace) = run_lbp(&mrf, &cap(200));
-    let (labels, trace) = run_lbp(&mrf, &cap(200).with_checkpoint(policy.clone()));
+    let (fresh_labels, fresh_trace) = run_lbp(mrf, &cap(200));
+    let (labels, trace) = run_lbp(mrf, &cap(200).with_checkpoint(policy.clone()));
     assert_eq!(stats.restored.load(Ordering::Relaxed), 0);
     assert_eq!(labels, fresh_labels);
     assert_eq!(trace.without_wall_clock(), fresh_trace.without_wall_clock());
     assert!(policy.generations().is_empty(), "finished run left files");
 }
 
-/// A checkpoint taken with messages in flight (inline packet plus spill)
-/// resumes to the uninterrupted run's result.
+#[test]
+fn old_shape_checkpoint_is_skipped_and_the_job_restarts() {
+    let mrf = GridMrf::generate(8, 2, 5);
+    let states = mrf
+        .priors
+        .iter()
+        .map(|p| NestedState {
+            belief: p.clone(),
+            incoming: vec![(0, vec![0.0, -1.0])],
+            delta: 0.5,
+        })
+        .collect();
+    let inbox: Vec<(VertexId, NestedMessage)> =
+        vec![(1, vec![(0, vec![0.0, -1.0]), (2, vec![-0.5, 0.0])])];
+    assert_skipped_and_restarted(&mrf, "old-shape", fixture(&mrf, states, inbox));
+}
+
+/// The same for the layout with a `Vec` packet table per state and a
+/// per-destination spill `Vec`.
+#[test]
+fn spill_shape_checkpoint_is_skipped_and_the_job_restarts() {
+    let mrf = GridMrf::generate(8, 2, 5);
+    let packet = |sender, [a, b]: [f64; 2]| SpillPacket {
+        sender,
+        values: [a, b, 0.0, 0.0],
+    };
+    let states = mrf
+        .priors
+        .iter()
+        .map(|p| SpillState {
+            belief: [p[0], p[1], 0.0, 0.0],
+            incoming: vec![packet(0, [0.0, -1.0])],
+            delta: 0.5,
+        })
+        .collect();
+    let inbox = vec![(
+        1,
+        SpillMessage {
+            first: packet(0, [0.0, -1.0]),
+            rest: vec![packet(2, [-0.5, 0.0])],
+        },
+    )];
+    assert_skipped_and_restarted(&mrf, "spill-shape", fixture(&mrf, states, inbox));
+}
+
+/// Today's state shape with a packet table of any length.
+#[derive(Serialize, Deserialize)]
+struct TableState {
+    belief: [f64; 2],
+    incoming: Vec<Packet<2>>,
+    delta: f64,
+}
+
+/// A packet table longer than `MAX_DEGREE` cannot come from a run; a file
+/// that holds one is rejected like any unreadable generation.
+#[test]
+fn overfull_packet_table_is_skipped_and_the_job_restarts() {
+    let mrf = GridMrf::generate(8, 2, 5);
+    let incoming: Vec<Packet<2>> = (0..=MAX_DEGREE as VertexId)
+        .map(|sender| Packet {
+            sender,
+            values: [0.0, -1.0],
+        })
+        .collect();
+    let states = mrf
+        .priors
+        .iter()
+        .map(|p| TableState {
+            belief: [p[0], p[1]],
+            incoming: incoming.clone(),
+            delta: 0.5,
+        })
+        .collect();
+    let inbox: Vec<(VertexId, LbpMessage<2>)> = Vec::new();
+    assert_skipped_and_restarted(&mrf, "overfull", fixture(&mrf, states, inbox));
+}
+
+/// A checkpoint taken with messages in flight (more than one packet to a
+/// destination) resumes to the uninterrupted run's result.
 #[test]
 fn checkpoint_round_trips_in_flight_messages() {
     let mrf = GridMrf::generate(8, 2, 5);
@@ -178,7 +282,7 @@ fn checkpoint_round_trips_in_flight_messages() {
         run_lbp(&mrf, &doomed);
     }));
     assert!(crashed.is_err());
-    let (ckpt, _) = read_latest_checkpoint::<LbpState, LbpMessage, usize>(
+    let (ckpt, _) = read_latest_checkpoint::<LbpState<2>, LbpMessage<2>, usize>(
         &policy,
         mrf.graph.num_vertices(),
         mrf.graph.num_edges(),

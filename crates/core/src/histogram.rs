@@ -10,12 +10,12 @@
 //! every octave `[2^m, 2^(m+1))` above that is split into `2^SUB_BITS`
 //! linear sub-buckets, so no recorded value is distorted by more than
 //! `2^-SUB_BITS` (≈3.1% at the default precision). Counts are plain
-//! `u64`s, and serde round-trips exactly.
+//! `u64`s; reports read the quantile summary (`summary_json`), not the
+//! buckets.
 //!
 //! The histogram is value-unit agnostic; the service records
 //! **microseconds**.
 
-use serde::{Deserialize, Serialize};
 use serde_json::json;
 
 /// Sub-bucket precision: each octave is split into `2^SUB_BITS` linear
@@ -29,7 +29,7 @@ pub const REPORT_QUANTILES: [(&str, f64); 4] =
     [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)];
 
 /// A log-bucketed histogram of `u64` values.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogHistogram {
     /// Bucket counts, indexed by [`bucket_index`]; trailing buckets that
     /// were never touched are simply absent.
@@ -296,18 +296,6 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.value_at_quantile(0.99), 0);
-    }
-
-    #[test]
-    fn serde_round_trip_is_exact() {
-        let mut h = LogHistogram::new();
-        for v in [0u64, 1, 31, 32, 1_000, 123_456_789, u64::MAX] {
-            h.record(v);
-        }
-        let encoded = serde_json::to_string(&h).unwrap();
-        let decoded: LogHistogram = serde_json::from_str(&encoded).unwrap();
-        assert_eq!(h, decoded);
-        assert_eq!(h.value_at_quantile(0.99), decoded.value_at_quantile(0.99));
     }
 
     #[test]
