@@ -261,7 +261,7 @@ mod tests {
             .collect();
         let rg = RatingGraph {
             graph: rg0.graph.clone(),
-            ratings,
+            ratings: ratings.into(),
             num_users: rg0.num_users,
         };
         // Minimal regularization: the ridge otherwise shrinks the exact

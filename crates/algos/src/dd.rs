@@ -49,7 +49,7 @@ impl DualDecomposition {
             .vertices()
             .map(|v| {
                 let deg = g.degree(v).max(1) as f64;
-                mrf.unary[v as usize].iter().map(|&u| u / deg).collect()
+                mrf.unary_row(v as usize).iter().map(|&u| u / deg).collect()
             })
             .collect();
         // Position of edge e within each endpoint's adjacency row.
@@ -306,9 +306,7 @@ mod tests {
     fn strong_agreement_mrf_converges_uniform() {
         // Huge Potts strength: optimal labelling is uniform; DD must agree.
         let mut mrf = tiny_mrf();
-        for l in &mut mrf.pairwise {
-            *l = 50.0;
-        }
+        mrf.pairwise = vec![50.0; mrf.pairwise.len()].into();
         let (result, trace) = run_dd(&mrf, &ExecutionConfig::with_max_iterations(500));
         assert!(trace.converged, "did not converge");
         assert!(

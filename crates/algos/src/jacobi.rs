@@ -9,7 +9,7 @@
 
 use graphmine_engine::{ApplyInfo, EdgeSet, ExecutionConfig, RunTrace, SyncEngine, VertexProgram};
 use graphmine_gen::MatrixSystem;
-use graphmine_graph::{EdgeId, Graph, VertexId};
+use graphmine_graph::{EdgeId, Graph, SharedSlice, VertexId};
 use serde::{Deserialize, Serialize};
 
 /// Per-vertex Jacobi state.
@@ -24,8 +24,8 @@ pub struct JacobiState {
 /// The Jacobi vertex program. Diagonal and right-hand side live in the
 /// program (they are per-row constants, not graph data).
 pub struct Jacobi {
-    diagonal: Vec<f64>,
-    rhs: Vec<f64>,
+    diagonal: SharedSlice<f64>,
+    rhs: SharedSlice<f64>,
     /// Convergence tolerance on the max component change.
     pub tolerance: f64,
 }

@@ -186,23 +186,26 @@ impl VertexProgram for KMeans {
     }
 }
 
-/// Run graph-regularized K-Means. Returns per-vertex assignments and the
-/// behavior trace.
+/// Run graph-regularized K-Means on the points `(xs[v], ys[v])`. Returns
+/// per-vertex assignments and the behavior trace.
 pub fn run_kmeans(
     graph: &Graph,
-    points: &[[f64; 2]],
+    xs: &[f64],
+    ys: &[f64],
     k: usize,
     config: &ExecutionConfig,
 ) -> (Vec<u32>, RunTrace) {
-    assert_eq!(points.len(), graph.num_vertices());
+    assert_eq!(xs.len(), graph.num_vertices());
+    assert_eq!(ys.len(), graph.num_vertices());
     // Initial clusters follow the id before any degree reordering, so a
     // reordered graph starts from the same partition.
     let inverse = graph.vertex_inverse();
-    let states: Vec<KmState> = points
+    let states: Vec<KmState> = xs
         .iter()
+        .zip(ys)
         .enumerate()
-        .map(|(v, &point)| KmState {
-            point,
+        .map(|(v, (&x, &y))| KmState {
+            point: [x, y],
             cluster: (inverse.map_or(v, |inv| inv[v] as usize) % k) as u32,
             changed: true,
         })
@@ -213,8 +216,10 @@ pub fn run_kmeans(
     (finals.into_iter().map(|s| s.cluster).collect(), trace)
 }
 
-/// Plain (graph-free) Lloyd's algorithm reference.
-pub fn lloyd_reference(points: &[[f64; 2]], k: usize, iterations: usize) -> Vec<u32> {
+/// Plain (graph-free) Lloyd's algorithm reference on the points
+/// `(xs[v], ys[v])`.
+pub fn lloyd_reference(xs: &[f64], ys: &[f64], k: usize, iterations: usize) -> Vec<u32> {
+    let points: Vec<[f64; 2]> = xs.iter().zip(ys).map(|(&x, &y)| [x, y]).collect();
     let n = points.len();
     let mut assign: Vec<u32> = (0..n).map(|v| (v % k) as u32).collect();
     for _ in 0..iterations {
@@ -255,17 +260,9 @@ mod tests {
     use graphmine_graph::GraphBuilder;
 
     /// Two well-separated blobs of 4 points each, connected within blobs.
-    fn two_blobs() -> (Graph, Vec<[f64; 2]>) {
-        let points = vec![
-            [0.0, 0.0],
-            [0.1, 0.0],
-            [0.0, 0.1],
-            [0.1, 0.1],
-            [5.0, 5.0],
-            [5.1, 5.0],
-            [5.0, 5.1],
-            [5.1, 5.1],
-        ];
+    fn two_blobs() -> (Graph, Vec<f64>, Vec<f64>) {
+        let xs = vec![0.0, 0.1, 0.0, 0.1, 5.0, 5.1, 5.0, 5.1];
+        let ys = vec![0.0, 0.0, 0.1, 0.1, 5.0, 5.0, 5.1, 5.1];
         let g = GraphBuilder::undirected(8)
             .edge(0, 1)
             .edge(1, 2)
@@ -276,13 +273,13 @@ mod tests {
             .edge(6, 7)
             .edge(7, 4)
             .build();
-        (g, points)
+        (g, xs, ys)
     }
 
     #[test]
     fn separates_two_blobs() {
-        let (g, points) = two_blobs();
-        let (assign, trace) = run_kmeans(&g, &points, 2, &ExecutionConfig::default());
+        let (g, xs, ys) = two_blobs();
+        let (assign, trace) = run_kmeans(&g, &xs, &ys, 2, &ExecutionConfig::default());
         assert!(trace.converged);
         // All of blob 1 in one cluster, all of blob 2 in the other.
         assert!(assign[..4].iter().all(|&c| c == assign[0]));
@@ -292,9 +289,9 @@ mod tests {
 
     #[test]
     fn agrees_with_lloyd_on_blob_partition() {
-        let (g, points) = two_blobs();
-        let (assign, _) = run_kmeans(&g, &points, 2, &ExecutionConfig::default());
-        let reference = lloyd_reference(&points, 2, 50);
+        let (g, xs, ys) = two_blobs();
+        let (assign, _) = run_kmeans(&g, &xs, &ys, 2, &ExecutionConfig::default());
+        let reference = lloyd_reference(&xs, &ys, 2, 50);
         // Same partition up to label permutation.
         let same = assign == reference
             || assign
@@ -306,8 +303,8 @@ mod tests {
 
     #[test]
     fn all_vertices_active_every_iteration() {
-        let (g, points) = two_blobs();
-        let (_, trace) = run_kmeans(&g, &points, 2, &ExecutionConfig::default());
+        let (g, xs, ys) = two_blobs();
+        let (_, trace) = run_kmeans(&g, &xs, &ys, 2, &ExecutionConfig::default());
         assert!(trace
             .active_fraction()
             .iter()
@@ -316,23 +313,23 @@ mod tests {
 
     #[test]
     fn eread_is_full_adjacency_every_iteration() {
-        let (g, points) = two_blobs();
-        let (_, trace) = run_kmeans(&g, &points, 2, &ExecutionConfig::default());
+        let (g, xs, ys) = two_blobs();
+        let (_, trace) = run_kmeans(&g, &xs, &ys, 2, &ExecutionConfig::default());
         let slots = g.total_out_slots();
         assert!(trace.iterations.iter().all(|it| it.edge_reads == slots));
     }
 
     #[test]
     fn messages_stop_once_stable() {
-        let (g, points) = two_blobs();
-        let (_, trace) = run_kmeans(&g, &points, 2, &ExecutionConfig::default());
+        let (g, xs, ys) = two_blobs();
+        let (_, trace) = run_kmeans(&g, &xs, &ys, 2, &ExecutionConfig::default());
         assert_eq!(trace.iterations.last().unwrap().messages, 0);
     }
 
     #[test]
     fn single_cluster_trivially_converges() {
-        let (g, points) = two_blobs();
-        let (assign, _) = run_kmeans(&g, &points, 1, &ExecutionConfig::default());
+        let (g, xs, ys) = two_blobs();
+        let (assign, _) = run_kmeans(&g, &xs, &ys, 1, &ExecutionConfig::default());
         assert!(assign.iter().all(|&c| c == 0));
     }
 

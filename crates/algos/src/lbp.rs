@@ -149,9 +149,9 @@ impl<const L: usize> Lbp<L> {
     ///
     /// # Panics
     ///
-    /// When `num_labels` exceeds [`MAX_LABELS`] or the width `L`, or a
-    /// prior does not have `num_labels` entries.
-    pub fn new(priors: &[Vec<f64>], smoothing: f64, num_labels: usize) -> Lbp<L> {
+    /// When `num_labels` exceeds [`MAX_LABELS`] or the width `L`, or
+    /// `priors` (`num_labels` per vertex, vertex-major) is not whole rows.
+    pub fn new(priors: &[f64], smoothing: f64, num_labels: usize) -> Lbp<L> {
         assert!(
             num_labels <= MAX_LABELS,
             "LBP supports at most MAX_LABELS = {MAX_LABELS} labels, got {num_labels}"
@@ -160,9 +160,9 @@ impl<const L: usize> Lbp<L> {
             num_labels <= L,
             "an LBP program of width {L} holds at most {L} labels, got {num_labels}"
         );
-        assert!(priors.iter().all(|p| p.len() == num_labels));
+        assert!(priors.len().is_multiple_of(num_labels));
         Lbp {
-            priors: priors.iter().map(|p| to_labels(p)).collect(),
+            priors: priors.chunks_exact(num_labels).map(to_labels).collect(),
             smoothing,
             num_labels,
             tolerance: 1e-4,
@@ -302,8 +302,9 @@ impl<const L: usize> VertexProgram for Lbp<L> {
     }
 }
 
-/// Run LBP on any graph with the given priors. Returns MAP labels (argmax
-/// belief) and the behavior trace.
+/// Run LBP on any graph with the given priors (`num_labels` per vertex,
+/// vertex-major). Returns MAP labels (argmax belief) and the behavior
+/// trace.
 ///
 /// # Panics
 ///
@@ -311,7 +312,7 @@ impl<const L: usize> VertexProgram for Lbp<L> {
 /// does.
 pub fn run_lbp_on(
     graph: &Graph,
-    priors: &[Vec<f64>],
+    priors: &[f64],
     smoothing: f64,
     num_labels: usize,
     config: &ExecutionConfig,
@@ -326,12 +327,12 @@ pub fn run_lbp_on(
 /// [`run_lbp_on`] with a program of label width `L`.
 fn run_width<const L: usize>(
     graph: &Graph,
-    priors: &[Vec<f64>],
+    priors: &[f64],
     smoothing: f64,
     num_labels: usize,
     config: &ExecutionConfig,
 ) -> (Vec<usize>, RunTrace) {
-    assert_eq!(priors.len(), graph.num_vertices());
+    assert_eq!(priors.len(), graph.num_vertices() * num_labels);
     if let Some(v) = graph.vertices().find(|&v| graph.in_degree(v) > MAX_DEGREE) {
         panic!(
             "LBP supports in-degree at most MAX_DEGREE = {MAX_DEGREE}, vertex {v} has {}",
@@ -377,10 +378,11 @@ pub fn run_lbp(mrf: &GridMrf, config: &ExecutionConfig) -> (Vec<usize>, RunTrace
 }
 
 /// Brute-force MAP reference: maximize
-/// `Σ priors[v][x_v] + Σ_(u,v) smoothing·[x_u == x_v]` (tiny graphs only).
+/// `Σ priors[v][x_v] + Σ_(u,v) smoothing·[x_u == x_v]` (tiny graphs only;
+/// `priors` is `num_labels` per vertex, vertex-major).
 pub fn brute_force_map(
     graph: &Graph,
-    priors: &[Vec<f64>],
+    priors: &[f64],
     smoothing: f64,
     num_labels: usize,
 ) -> Vec<usize> {
@@ -396,7 +398,11 @@ pub fn brute_force_map(
             *l = c % num_labels;
             c /= num_labels;
         }
-        let mut score: f64 = labels.iter().enumerate().map(|(v, &l)| priors[v][l]).sum();
+        let mut score: f64 = labels
+            .iter()
+            .enumerate()
+            .map(|(v, &l)| priors[v * num_labels + l])
+            .sum();
         for &(u, v) in graph.edge_list() {
             if labels[u as usize] == labels[v as usize] {
                 score += smoothing;
@@ -416,7 +422,7 @@ mod tests {
     use graphmine_graph::GraphBuilder;
 
     /// A 4-vertex path (tree ⇒ max-product BP is exact).
-    fn chain_priors() -> (Graph, Vec<Vec<f64>>) {
+    fn chain_priors() -> (Graph, Vec<f64>) {
         let g = GraphBuilder::undirected(4)
             .edge(0, 1)
             .edge(1, 2)
@@ -424,10 +430,10 @@ mod tests {
             .build();
         // Ends strongly pull to opposite labels; middles are ambiguous.
         let priors = vec![
-            vec![2.0, 0.0],
-            vec![0.1, 0.0],
-            vec![0.0, 0.1],
-            vec![0.0, 2.0],
+            2.0, 0.0, //
+            0.1, 0.0, //
+            0.0, 0.1, //
+            0.0, 2.0,
         ];
         (g, priors)
     }
@@ -447,7 +453,7 @@ mod tests {
         // (with symmetric priors all-0 and all-1 tie and per-vertex argmax
         // can legitimately mix).
         let (g, mut priors) = chain_priors();
-        priors[0][0] = 5.0;
+        priors[0] = 5.0;
         let (labels, _) = run_lbp_on(&g, &priors, 10.0, 2, &ExecutionConfig::default());
         assert_eq!(labels, vec![0, 0, 0, 0]);
     }
@@ -490,7 +496,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most MAX_LABELS = 4 labels, got 5")]
     fn too_many_labels_are_rejected_by_name() {
-        let priors = vec![vec![0.0; MAX_LABELS + 1]; 2];
+        let priors = vec![0.0; (MAX_LABELS + 1) * 2];
         Lbp::<MAX_LABELS>::new(&priors, 1.0, MAX_LABELS + 1);
     }
 
@@ -505,11 +511,11 @@ mod tests {
             .edge(3, 4)
             .build();
         let priors = vec![
-            vec![2.0, 0.0, 0.3],
-            vec![0.1, 0.2, 0.0],
-            vec![0.0, 1.5, 0.1],
-            vec![0.0, 0.1, 0.3],
-            vec![0.2, 0.0, 2.0],
+            2.0, 0.0, 0.3, //
+            0.1, 0.2, 0.0, //
+            0.0, 1.5, 0.1, //
+            0.0, 0.1, 0.3, //
+            0.2, 0.0, 2.0,
         ];
         let (labels, trace) = run_lbp_on(&g, &priors, 0.5, 3, &ExecutionConfig::default());
         assert_eq!(labels, brute_force_map(&g, &priors, 0.5, 3));
@@ -524,7 +530,7 @@ mod tests {
         for leaf in 1..6 {
             builder = builder.edge(0, leaf);
         }
-        let priors = vec![vec![0.0, 0.0]; 6];
+        let priors = vec![0.0; 6 * 2];
         run_lbp_on(
             &builder.build(),
             &priors,
@@ -538,7 +544,7 @@ mod tests {
     fn brute_force_rejects_oversized() {
         let result = std::panic::catch_unwind(|| {
             let g = GraphBuilder::undirected(30).edge(0, 1).build();
-            let priors = vec![vec![0.0, 0.0]; 30];
+            let priors = vec![0.0; 30 * 2];
             brute_force_map(&g, &priors, 1.0, 2)
         });
         assert!(result.is_err());

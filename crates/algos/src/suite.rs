@@ -10,7 +10,7 @@ use graphmine_gen::{
     gaussian_edge_weights, gaussian_points, mrf_graph, powerlaw_graph, BipartiteConfig, GridMrf,
     MatrixSystem, MrfConfig, MrfGraph, PowerLawConfig, RatingGraph,
 };
-use graphmine_graph::{Graph, Representation};
+use graphmine_graph::{Graph, Representation, SharedSlice};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -154,9 +154,11 @@ pub enum Workload {
         /// Topology.
         graph: Graph,
         /// Per-edge weights (used by SSSP).
-        weights: Vec<f64>,
-        /// Per-vertex 2-D points (used by KM).
-        points: Vec<[f64; 2]>,
+        weights: SharedSlice<f64>,
+        /// Per-vertex point x coordinates (used by KM).
+        px: SharedSlice<f64>,
+        /// Per-vertex point y coordinates (used by KM).
+        py: SharedSlice<f64>,
     },
     /// Bipartite user–item ratings — inputs to Collaborative Filtering.
     Ratings(RatingGraph),
@@ -173,11 +175,19 @@ impl Workload {
     pub fn powerlaw(nedges: usize, alpha: f64, seed: u64) -> Workload {
         let graph = powerlaw_graph(&PowerLawConfig::new(nedges, alpha, seed));
         let weights = gaussian_edge_weights(graph.num_edges(), seed);
-        let points = gaussian_points(graph.num_vertices(), seed);
+        Workload::weighted(graph, weights, seed)
+    }
+
+    /// A power-law-class workload over a given graph and per-edge weights
+    /// (an ingested or parsed edge list), with the k-means points that
+    /// [`gaussian_points`] draws for `seed`.
+    pub fn weighted(graph: Graph, weights: Vec<f64>, seed: u64) -> Workload {
+        let (px, py) = gaussian_points(graph.num_vertices(), seed);
         Workload::PowerLaw {
             graph,
-            weights,
-            points,
+            weights: weights.into(),
+            px: px.into(),
+            py: py.into(),
         }
     }
 
@@ -226,7 +236,8 @@ impl Workload {
             Workload::PowerLaw {
                 graph,
                 weights,
-                points,
+                px,
+                py,
             } => {
                 let reordered = graph.reordered_by_degree();
                 let remap = reordered
@@ -249,19 +260,23 @@ impl Workload {
                     .enumerate()
                     .map(|(i, &(s, d))| (canon(remap[s as usize], remap[d as usize]), i))
                     .collect();
-                let weights = reordered
+                let weights: Vec<f64> = reordered
                     .edge_list()
                     .iter()
                     .map(|&(s, d)| weights[old_edge[&canon(s, d)]])
                     .collect();
-                let mut new_points = vec![[0.0f64; 2]; points.len()];
-                for (old, &p) in points.iter().enumerate() {
-                    new_points[remap[old] as usize] = p;
-                }
+                let permute = |column: &[f64]| {
+                    let mut out = vec![0.0f64; column.len()];
+                    for (old, &x) in column.iter().enumerate() {
+                        out[remap[old] as usize] = x;
+                    }
+                    SharedSlice::from_vec(out)
+                };
                 Workload::PowerLaw {
                     graph: reordered,
-                    weights,
-                    points: new_points,
+                    weights: weights.into(),
+                    px: permute(px),
+                    py: permute(py),
                 }
             }
             other => other.clone(),
@@ -271,8 +286,8 @@ impl Workload {
     /// The same workload with its topology converted to `repr`
     /// (delta-varint compressed or plain adjacency). Conversion rebuilds
     /// only the neighbor arrays — vertex/edge numbering, weights, and every
-    /// data column are untouched, so results are bit-identical across
-    /// representations by construction. Errors when the topology's rows are
+    /// data column are untouched (shared with `self`, not copied), so
+    /// results are bit-identical across representations by construction. Errors when the topology's rows are
     /// not sorted (compression requires dedup builds; every generator here
     /// produces them).
     pub fn with_representation(&self, repr: Representation) -> Result<Workload, String> {
@@ -281,11 +296,13 @@ impl Workload {
             Workload::PowerLaw {
                 graph,
                 weights,
-                points,
+                px,
+                py,
             } => Workload::PowerLaw {
                 graph: convert(graph)?,
                 weights: weights.clone(),
-                points: points.clone(),
+                px: px.clone(),
+                py: py.clone(),
             },
             Workload::Ratings(rg) => {
                 let mut rg = rg.clone();
@@ -443,8 +460,8 @@ pub fn run_algorithm_digest(
                 trace,
             )
         }
-        (AlgorithmKind::Km, Workload::PowerLaw { graph, points, .. }) => {
-            let (assign, trace) = kmeans::run_kmeans(graph, points, config.kmeans_k, exec);
+        (AlgorithmKind::Km, Workload::PowerLaw { graph, px, py, .. }) => {
+            let (assign, trace) = kmeans::run_kmeans(graph, px, py, config.kmeans_k, exec);
             (u32s(&assign), trace)
         }
         (AlgorithmKind::Als, Workload::Ratings(rg)) => {
@@ -595,12 +612,14 @@ mod tests {
             Workload::PowerLaw {
                 graph: g0,
                 weights: w0,
-                points: p0,
+                px: x0,
+                py: y0,
             },
             Workload::PowerLaw {
                 graph: g1,
                 weights: w1,
-                points: p1,
+                px: x1,
+                py: y1,
             },
         ) = (&w, &r)
         else {
@@ -620,8 +639,9 @@ mod tests {
             let j = new_idx[&canon(remap[s as usize], remap[d as usize])];
             assert_eq!(w0[i].to_bits(), w1[j].to_bits(), "weight of edge {i}");
         }
-        for v in 0..p0.len() {
-            assert_eq!(p0[v], p1[remap[v] as usize], "point of vertex {v}");
+        for v in 0..x0.len() {
+            let new = remap[v] as usize;
+            assert_eq!((x0[v], y0[v]), (x1[new], y1[new]), "point of vertex {v}");
         }
 
         // SSSP from a vertex the reordering moves is the same run on both:
@@ -667,12 +687,14 @@ mod tests {
         let (
             Workload::PowerLaw {
                 graph: g0,
-                points: p0,
+                px: x0,
+                py: y0,
                 ..
             },
             Workload::PowerLaw {
                 graph: g1,
-                points: p1,
+                px: x1,
+                py: y1,
                 ..
             },
         ) = (&w, &r)
@@ -711,8 +733,8 @@ mod tests {
         );
 
         // KM's initial partition follows the natural id too.
-        let (a0, t0) = kmeans::run_kmeans(g0, p0, cfg.kmeans_k, &cfg.exec);
-        let (a1, t1) = kmeans::run_kmeans(g1, p1, cfg.kmeans_k, &cfg.exec);
+        let (a0, t0) = kmeans::run_kmeans(g0, x0, y0, cfg.kmeans_k, &cfg.exec);
+        let (a1, t1) = kmeans::run_kmeans(g1, x1, y1, cfg.kmeans_k, &cfg.exec);
         same_iterations("KM", &t0, &t1);
         for (v, &new) in remap.iter().enumerate() {
             assert_eq!(a1[new as usize], a0[v], "cluster of vertex {v}");

@@ -260,7 +260,7 @@ mod tests {
         }
         let rg = RatingGraph {
             graph: g,
-            ratings,
+            ratings: ratings.into(),
             num_users: 2,
         };
         let (result, _) = run_svd(&rg, &ExecutionConfig::with_max_iterations(500));

@@ -190,9 +190,9 @@ fn old_shape_checkpoint_is_skipped_and_the_job_restarts() {
     let mrf = GridMrf::generate(8, 2, 5);
     let states = mrf
         .priors
-        .iter()
+        .chunks(mrf.num_labels)
         .map(|p| NestedState {
-            belief: p.clone(),
+            belief: p.to_vec(),
             incoming: vec![(0, vec![0.0, -1.0])],
             delta: 0.5,
         })
@@ -213,7 +213,7 @@ fn spill_shape_checkpoint_is_skipped_and_the_job_restarts() {
     };
     let states = mrf
         .priors
-        .iter()
+        .chunks(mrf.num_labels)
         .map(|p| SpillState {
             belief: [p[0], p[1], 0.0, 0.0],
             incoming: vec![packet(0, [0.0, -1.0])],
@@ -251,7 +251,7 @@ fn overfull_packet_table_is_skipped_and_the_job_restarts() {
         .collect();
     let states = mrf
         .priors
-        .iter()
+        .chunks(mrf.num_labels)
         .map(|p| TableState {
             belief: [p[0], p[1]],
             incoming: incoming.clone(),

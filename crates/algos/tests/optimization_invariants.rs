@@ -72,7 +72,8 @@ fn sgd_rmse_improves_with_budget() {
 #[test]
 fn kmeans_reduces_within_cluster_scatter() {
     let graph = powerlaw_graph(&PowerLawConfig::new(3_000, 2.5, 4));
-    let points = gaussian_points(graph.num_vertices(), 4);
+    let (xs, ys) = gaussian_points(graph.num_vertices(), 4);
+    let points: Vec<[f64; 2]> = xs.iter().zip(&ys).map(|(&x, &y)| [x, y]).collect();
     let k = 4usize;
     let wcss = |assign: &[u32]| -> f64 {
         let mut sums = vec![[0.0f64; 2]; k];
@@ -103,7 +104,7 @@ fn kmeans_reduces_within_cluster_scatter() {
             .sum()
     };
     let initial: Vec<u32> = (0..graph.num_vertices()).map(|v| (v % k) as u32).collect();
-    let (assign, trace) = run_kmeans(&graph, &points, k, &cfg(100));
+    let (assign, trace) = run_kmeans(&graph, &xs, &ys, k, &cfg(100));
     assert!(trace.num_iterations() >= 2);
     assert!(
         wcss(&assign) < wcss(&initial) * 0.9,

@@ -90,7 +90,7 @@ use crate::program::{ActiveInit, ApplyInfo, EdgeSet, VertexProgram};
 use crate::soa::{SlotChunk, SlotTable};
 use crate::task_plan::{
     dest_chunk_counts, into_tasks, pooled, select_chunks_mut, select_slot_chunks_mut, split_runs,
-    sum_tasks, ScatterScratch, TaskBounds,
+    sum_tasks, wave_outboxes, ScatterScratch, TaskBounds,
 };
 use crate::trace::{DirectionChoice, IterationStats, RunTrace};
 use graphmine_graph::{chunk_edge_spans, Direction, Graph, VertexId};
@@ -1367,14 +1367,15 @@ impl<'g, P: VertexProgram> SyncEngine<'g, P> {
                 geometry.dest_bounds.without_window(),
             );
             let bufs = pooled(&mut scratch.bufs, tasks.len());
-            let outboxes = pooled(&mut scratch.outboxes, tasks.len());
+            let outboxes = wave_outboxes(&mut scratch.outboxes, tasks.len());
             let work: Vec<_> = tasks
                 .into_iter()
                 .zip(bufs.iter_mut().zip(outboxes.iter_mut()))
                 .collect();
             let wave_sent = sum_tasks(config.sequential, work, |(task, (buf, outbox))| {
                 let mut sent = [0u64; 3];
-                let out = outbox.begin();
+                let planned = task.iter().map(|&(_, (_, _, work))| work).sum::<u64>();
+                let out = outbox.begin(planned as usize);
                 for &(_, (lo, hi, _)) in &task {
                     if sparse {
                         let verts = &frontier.list[lo..hi];

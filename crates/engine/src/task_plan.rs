@@ -188,8 +188,10 @@ pub(crate) struct TaskBuf {
 ///
 /// Scatter pushes into `msgs`; [`Outbox::bucket`] then counting-sorts them
 /// in place by destination chunk, keeping emission order within a chunk
-/// (that order is part of the determinism contract). The buffers keep their
-/// capacity from one iteration to the next.
+/// (that order is part of the determinism contract). [`Outbox::begin`]
+/// sizes the buffers to the task's planned edge work, so a pooled outbox
+/// holds at most twice what its current wave can send, never the capacity
+/// of the heaviest wave it has served.
 pub(crate) struct Outbox<M> {
     /// The messages: in emission order (source vertex ascending, then edge
     /// order) until [`Outbox::bucket`], ascending by destination chunk
@@ -219,9 +221,17 @@ impl<M> Default for Outbox<M> {
 }
 
 impl<M> Outbox<M> {
-    /// Empty the outbox for a new iteration's messages.
-    pub fn begin(&mut self) -> &mut Vec<(VertexId, M)> {
+    /// Empty the outbox for a task that plans `planned` edge visits, with
+    /// room for that many messages and at most twice that: a task sends at
+    /// most one message per edge it visits, so the buffers never grow
+    /// during the scatter, and a wave's outboxes together hold at most
+    /// twice its planned work (which is at most |V| plus one vertex's row)
+    /// whatever earlier waves needed.
+    pub fn begin(&mut self, planned: usize) -> &mut Vec<(VertexId, M)> {
         self.msgs.clear();
+        self.order.clear();
+        fit(&mut self.msgs, planned);
+        fit(&mut self.order, planned);
         &mut self.msgs
     }
 
@@ -282,6 +292,19 @@ impl<M> Outbox<M> {
     }
 }
 
+/// Give the empty `buf` a capacity between `n` and `2n`. A buffer in that
+/// band is kept: refitting it to every wave's exact work cost throughput
+/// and resident memory in allocator churn and page faults. A short one is
+/// replaced by a fresh allocation of `n` rather than grown, which would
+/// copy the dead contents; a long one is shrunk to `n`.
+fn fit<T>(buf: &mut Vec<T>, n: usize) {
+    if buf.capacity() < n {
+        *buf = Vec::with_capacity(n);
+    } else if buf.capacity() > 2 * n {
+        buf.shrink_to(n);
+    }
+}
+
 /// Bucketed messages per destination chunk, summed over `outboxes`:
 /// `(lo, counts)` with `counts[c - lo]` the messages bound for chunk `c`.
 /// Empty `counts` when nothing was sent.
@@ -335,9 +358,10 @@ pub(crate) fn split_runs<'a, M>(
 }
 
 /// Run-lifetime buffers of the scatter/exchange phase: one [`TaskBuf`] per
-/// task and one [`Outbox`] per push-scatter task, grown to the largest task
-/// count seen and reused every iteration — bounded by the number of tasks
-/// (plus, for outboxes, the messages one push wave sends), never by |E|.
+/// task, grown to the largest task count seen, and one [`Outbox`] per task
+/// of the current push wave ([`wave_outboxes`]), each sized to its task's
+/// planned edge work — reused every iteration and bounded by the number of
+/// tasks plus twice one wave's planned work, never by |E|.
 pub(crate) struct ScatterScratch<M> {
     pub bufs: Vec<TaskBuf>,
     pub outboxes: Vec<Outbox<M>>,
@@ -358,6 +382,13 @@ pub(crate) fn pooled<T: Default>(pool: &mut Vec<T>, n: usize) -> &mut [T] {
         pool.resize_with(n, T::default);
     }
     &mut pool[..n]
+}
+
+/// The outboxes of a push wave of `n` tasks: the pool cut to exactly `n`
+/// entries, so no outbox past this wave keeps an earlier wave's buffers.
+pub(crate) fn wave_outboxes<M>(pool: &mut Vec<Outbox<M>>, n: usize) -> &mut [Outbox<M>] {
+    pool.truncate(n);
+    pooled(pool, n)
 }
 
 /// Run `task` over every item of `work` — in order on this thread, or on
@@ -551,7 +582,7 @@ mod tests {
     fn bucket_is_a_stable_sort_by_destination_chunk() {
         let mut ob: Outbox<u32> = Outbox::default();
         // (target, payload): chunk = target / 4.
-        ob.begin()
+        ob.begin(6)
             .extend([(9, 0), (2, 1), (8, 2), (21, 3), (3, 4), (10, 5)]);
         ob.bucket(4);
         assert_eq!(
@@ -566,10 +597,51 @@ mod tests {
         );
         assert_eq!([ob.upto(5), ob.upto(99)], [6, 6]);
         // Reuse: an empty round leaves nothing behind.
-        ob.begin();
+        ob.begin(0);
         ob.bucket(4);
         assert!(ob.msgs.is_empty() && ob.starts.is_empty());
         assert_eq!(ob.upto(7), 0);
+    }
+
+    /// Capacity of the pooled outboxes' buffers, in messages.
+    fn held(outboxes: &[Outbox<u32>]) -> usize {
+        outboxes
+            .iter()
+            .map(|ob| ob.msgs.capacity().max(ob.order.capacity()))
+            .sum()
+    }
+
+    #[test]
+    fn a_light_wave_after_a_heavy_one_holds_only_its_own_work() {
+        let mut s: ScatterScratch<u32> = ScatterScratch::default();
+        let wave = |s: &mut ScatterScratch<u32>, planned: &[usize]| {
+            let outboxes = wave_outboxes(&mut s.outboxes, planned.len());
+            for (ob, &work) in outboxes.iter_mut().zip(planned) {
+                let out = ob.begin(work);
+                // Every planned edge sends: the fullest a task can get.
+                out.extend((0..work as u32).map(|v| (v, v)));
+                ob.bucket(64);
+            }
+        };
+        // Heavy: four tasks of 5 000 edge visits, one a 9 000-edge hub row.
+        wave(&mut s, &[5_000, 9_000, 5_000, 5_000]);
+        assert!(held(&s.outboxes) >= 24_000);
+        // Light: two tasks of 300 edge visits.
+        wave(&mut s, &[300, 300]);
+        assert!(
+            held(&s.outboxes) <= 2 * 600,
+            "outboxes hold {} messages after a wave of 600",
+            held(&s.outboxes)
+        );
+        wave(&mut s, &[100, 100, 100, 100]);
+        assert!(held(&s.outboxes) <= 2 * 400);
+        // A wave within twice the last keeps the buffers as they are.
+        let kept: Vec<*const (VertexId, u32)> =
+            s.outboxes.iter().map(|ob| ob.msgs.as_ptr()).collect();
+        wave(&mut s, &[60, 100, 190, 100]);
+        let now: Vec<_> = s.outboxes.iter().map(|ob| ob.msgs.as_ptr()).collect();
+        assert_eq!(now[..2], kept[..2]);
+        assert_eq!(now[3], kept[3]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! (blockbuster items collect most ratings); users are near-uniform raters.
 
 use crate::gaussian::GaussianSampler;
-use graphmine_graph::{Graph, GraphBuilder, VertexId};
+use graphmine_graph::{Graph, GraphBuilder, SharedSlice, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,7 +56,7 @@ pub struct RatingGraph {
     /// edges for both user and item vertices, as in GraphLab's ALS toolkit).
     pub graph: Graph,
     /// One rating per edge id.
-    pub ratings: Vec<f64>,
+    pub ratings: SharedSlice<f64>,
     /// Number of user vertices; items are `num_users..2*num_users`.
     pub num_users: usize,
 }
@@ -108,7 +108,7 @@ impl RatingGraph {
         }
         let graph = builder.build();
         let mut g = GaussianSampler::new();
-        let ratings = (0..graph.num_edges())
+        let ratings: Vec<f64> = (0..graph.num_edges())
             .map(|_| {
                 g.sample(&mut rng, config.rating_mean, config.rating_std)
                     .clamp(0.5, 5.5)
@@ -116,7 +116,7 @@ impl RatingGraph {
             .collect();
         RatingGraph {
             graph,
-            ratings,
+            ratings: ratings.into(),
             num_users: users,
         }
     }

@@ -8,7 +8,7 @@
 //! paper Figure 11).
 
 use crate::gaussian::GaussianSampler;
-use graphmine_graph::{Graph, GraphBuilder, VertexId};
+use graphmine_graph::{Graph, GraphBuilder, SharedSlice, VertexId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -41,8 +41,9 @@ pub struct GridMrf {
     pub side: usize,
     /// Number of labels (colors).
     pub num_labels: usize,
-    /// Per-vertex prior log-potentials, `num_labels` each.
-    pub priors: Vec<Vec<f64>>,
+    /// Prior log-potentials, `num_labels` per vertex, vertex-major
+    /// (`n × num_labels`); [`GridMrf::prior_row`] slices one vertex.
+    pub priors: SharedSlice<f64>,
     /// Smoothness strength of the pairwise Potts potential.
     pub smoothing: f64,
 }
@@ -56,32 +57,36 @@ impl GridMrf {
         let graph = grid_graph(side);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut gauss = GaussianSampler::new();
-        let mut priors = Vec::with_capacity(side * side);
-        for r in 0..side {
+        let mut priors = Vec::with_capacity(side * side * num_labels);
+        for _ in 0..side {
             for c in 0..side {
                 let preferred = if c < side / 2 { 0 } else { num_labels - 1 };
-                let mut p: Vec<f64> = (0..num_labels)
-                    .map(|l| {
-                        let signal = if l == preferred { 2.0 } else { 0.0 };
-                        signal + 0.5 * gauss.standard(&mut rng)
-                    })
-                    .collect();
+                let start = priors.len();
+                priors.extend((0..num_labels).map(|l| {
+                    let signal = if l == preferred { 2.0 } else { 0.0 };
+                    signal + 0.5 * gauss.standard(&mut rng)
+                }));
                 // Normalize to log-probabilities-like scale (max 0).
+                let p = &mut priors[start..];
                 let max = p.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                for x in &mut p {
+                for x in p {
                     *x -= max;
                 }
-                let _ = r;
-                priors.push(p);
             }
         }
         GridMrf {
             graph,
             side,
             num_labels,
-            priors,
+            priors: priors.into(),
             smoothing: 1.0,
         }
+    }
+
+    /// Vertex `v`'s prior log-potentials (`num_labels` values).
+    #[inline]
+    pub fn prior_row(&self, v: usize) -> &[f64] {
+        &self.priors[v * self.num_labels..(v + 1) * self.num_labels]
     }
 }
 
@@ -117,10 +122,10 @@ mod tests {
     #[test]
     fn mrf_priors_shape() {
         let mrf = GridMrf::generate(6, 3, 1);
-        assert_eq!(mrf.priors.len(), 36);
-        assert!(mrf.priors.iter().all(|p| p.len() == 3));
+        assert_eq!(mrf.priors.len(), 36 * 3);
+        assert_eq!(mrf.prior_row(35).len(), 3);
         // Normalized: every prior has max exactly 0.
-        for p in &mrf.priors {
+        for p in mrf.priors.chunks(3) {
             let max = p.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             assert!((max - 0.0).abs() < 1e-12);
         }
@@ -134,7 +139,7 @@ mod tests {
         let mut right_one = 0usize;
         for r in 0..side {
             for c in 0..side {
-                let p = &mrf.priors[r * side + c];
+                let p = mrf.prior_row(r * side + c);
                 let best = p
                     .iter()
                     .enumerate()

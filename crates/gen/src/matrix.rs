@@ -8,7 +8,7 @@
 //! which is exactly why the paper includes it).
 
 use crate::gaussian::GaussianSampler;
-use graphmine_graph::{Graph, GraphBuilder, VertexId};
+use graphmine_graph::{Graph, GraphBuilder, SharedSlice, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,11 +23,11 @@ pub struct MatrixSystem {
     /// Directed dependency graph: edge `(i, j)` means row `i` reads `x[j]`.
     pub graph: Graph,
     /// Off-diagonal entries, one per edge id.
-    pub off_diagonal: Vec<f64>,
+    pub off_diagonal: SharedSlice<f64>,
     /// Diagonal entries (strictly dominant).
-    pub diagonal: Vec<f64>,
+    pub diagonal: SharedSlice<f64>,
     /// Right-hand side `b`.
-    pub rhs: Vec<f64>,
+    pub rhs: SharedSlice<f64>,
 }
 
 impl MatrixSystem {
@@ -80,9 +80,9 @@ pub fn matrix_graph(nrows: usize, degree: usize, seed: u64) -> MatrixSystem {
         .collect();
     MatrixSystem {
         graph,
-        off_diagonal,
-        diagonal,
-        rhs,
+        off_diagonal: off_diagonal.into(),
+        diagonal: diagonal.into(),
+        rhs: rhs.into(),
     }
 }
 

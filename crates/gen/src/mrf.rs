@@ -10,7 +10,7 @@
 //! responds to size).
 
 use crate::gaussian::GaussianSampler;
-use graphmine_graph::{Graph, GraphBuilder, VertexId};
+use graphmine_graph::{Graph, GraphBuilder, SharedSlice, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,11 +49,12 @@ impl MrfConfig {
 pub struct MrfGraph {
     /// Undirected factor topology; one pairwise factor per edge.
     pub graph: Graph,
-    /// Per-vertex unary log-potentials (`num_labels` entries each).
-    pub unary: Vec<Vec<f64>>,
+    /// Unary log-potentials, `num_labels` per vertex, vertex-major
+    /// (`n × num_labels`); [`MrfGraph::unary_row`] slices one vertex.
+    pub unary: SharedSlice<f64>,
     /// Per-edge Potts agreement bonus (λ ≥ 0): the pairwise potential is
     /// `λ·[x_u == x_v]`.
-    pub pairwise: Vec<f64>,
+    pub pairwise: SharedSlice<f64>,
     /// Labels per variable.
     pub num_labels: usize,
 }
@@ -99,19 +100,23 @@ pub fn mrf_graph(config: &MrfConfig) -> MrfGraph {
     let graph = builder.build();
     debug_assert_eq!(graph.num_edges(), m);
     let mut gauss = GaussianSampler::new();
-    let unary = (0..n)
-        .map(|_| {
-            (0..config.num_labels)
-                .map(|_| gauss.standard(&mut rng))
-                .collect()
-        })
+    let unary: Vec<f64> = (0..n * config.num_labels)
+        .map(|_| gauss.standard(&mut rng))
         .collect();
-    let pairwise = (0..m).map(|_| rng.gen::<f64>() * 1.5).collect();
+    let pairwise: Vec<f64> = (0..m).map(|_| rng.gen::<f64>() * 1.5).collect();
     MrfGraph {
         graph,
-        unary,
-        pairwise,
+        unary: unary.into(),
+        pairwise: pairwise.into(),
         num_labels: config.num_labels,
+    }
+}
+
+impl MrfGraph {
+    /// Vertex `v`'s unary log-potentials (`num_labels` values).
+    #[inline]
+    pub fn unary_row(&self, v: usize) -> &[f64] {
+        &self.unary[v * self.num_labels..(v + 1) * self.num_labels]
     }
 }
 
@@ -122,7 +127,7 @@ pub fn mrf_energy(mrf: &MrfGraph, labels: &[usize]) -> f64 {
     let mut e: f64 = labels
         .iter()
         .enumerate()
-        .map(|(v, &l)| mrf.unary[v][l])
+        .map(|(v, &l)| mrf.unary_row(v)[l])
         .sum();
     for (id, &(u, v)) in mrf.graph.edge_list().iter().enumerate() {
         if labels[u as usize] == labels[v as usize] {
@@ -161,8 +166,8 @@ mod tests {
             ..MrfConfig::new(150, 2)
         };
         let mrf = mrf_graph(&cfg);
-        assert_eq!(mrf.unary.len(), mrf.graph.num_vertices());
-        assert!(mrf.unary.iter().all(|u| u.len() == 4));
+        assert_eq!(mrf.unary.len(), mrf.graph.num_vertices() * 4);
+        assert_eq!(mrf.unary_row(0).len(), 4);
         assert_eq!(mrf.pairwise.len(), 150);
         assert!(mrf.pairwise.iter().all(|&l| l >= 0.0));
     }
@@ -177,8 +182,8 @@ mod tests {
         let e_uni = mrf_energy(&mrf, &uniform);
         let e_alt = mrf_energy(&mrf, &alternating);
         // Pairwise mass: uniform earns every agreement bonus.
-        let unary_uni: f64 = (0..n).map(|v| mrf.unary[v][0]).sum();
-        let unary_alt: f64 = (0..n).map(|v| mrf.unary[v][v % 2]).sum();
+        let unary_uni: f64 = (0..n).map(|v| mrf.unary_row(v)[0]).sum();
+        let unary_alt: f64 = (0..n).map(|v| mrf.unary_row(v)[v % 2]).sum();
         assert!(e_uni - unary_uni >= e_alt - unary_alt);
     }
 

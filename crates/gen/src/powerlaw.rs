@@ -130,13 +130,18 @@ pub fn powerlaw_graph(config: &PowerLawConfig) -> Graph {
 }
 
 /// Generate 2-D Gaussian vertex data (the Clustering domain's data points,
-/// §3.2) for a graph with `n` vertices.
-pub fn gaussian_points(n: usize, seed: u64) -> Vec<[f64; 2]> {
+/// §3.2) for a graph with `n` vertices, as an x column and a y column.
+/// Each point draws x, then y.
+pub fn gaussian_points(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>) {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
     let mut g = GaussianSampler::new();
-    (0..n)
-        .map(|_| [g.standard(&mut rng), g.standard(&mut rng)])
-        .collect()
+    let mut xs = Vec::with_capacity(n);
+    let mut ys = Vec::with_capacity(n);
+    for _ in 0..n {
+        xs.push(g.standard(&mut rng));
+        ys.push(g.standard(&mut rng));
+    }
+    (xs, ys)
 }
 
 /// Generate Gaussian edge weights (mean 1, σ 0.25, clamped positive) for a

@@ -146,7 +146,7 @@ pub fn parse_uai(reader: impl BufRead) -> Result<MrfGraph, UaiError> {
         scopes.push(scope);
     }
     // Factor tables.
-    let mut unary = vec![vec![0.0f64; labels]; n];
+    let mut unary = vec![0.0f64; n * labels];
     let mut pair_list: Vec<(u32, u32, f64)> = Vec::new();
     for scope in &scopes {
         let entries = t.next_usize("table size")?;
@@ -166,7 +166,10 @@ pub fn parse_uai(reader: impl BufRead) -> Result<MrfGraph, UaiError> {
         }
         match scope.as_slice() {
             [v] => {
-                for (slot, x) in unary[*v].iter_mut().zip(table.iter()) {
+                for (slot, x) in unary[*v * labels..(*v + 1) * labels]
+                    .iter_mut()
+                    .zip(table.iter())
+                {
                     *slot += x;
                 }
             }
@@ -215,15 +218,15 @@ pub fn parse_uai(reader: impl BufRead) -> Result<MrfGraph, UaiError> {
         .iter()
         .map(|&(u, v, l)| ((u.min(v), u.max(v)), l))
         .collect();
-    let pairwise = graph
+    let pairwise: Vec<f64> = graph
         .edge_list()
         .iter()
         .map(|&(s, d)| lambda_of[&(s.min(d), s.max(d))])
         .collect();
     Ok(MrfGraph {
         graph,
-        unary,
-        pairwise,
+        unary: unary.into(),
+        pairwise: pairwise.into(),
         num_labels: labels,
     })
 }
@@ -246,12 +249,12 @@ pub fn write_uai(mut writer: impl Write, mrf: &MrfGraph) -> std::io::Result<()> 
     for &(s, d) in mrf.graph.edge_list() {
         writeln!(writer, "2 {s} {d}")?;
     }
-    for u in &mrf.unary {
+    for u in mrf.unary.chunks(l) {
         writeln!(writer, "{l}")?;
         let row: Vec<String> = u.iter().map(|x| format!("{}", x.exp())).collect();
         writeln!(writer, "{}", row.join(" "))?;
     }
-    for lam in &mrf.pairwise {
+    for lam in mrf.pairwise.iter() {
         writeln!(writer, "{}", l * l)?;
         let mut row = Vec::with_capacity(l * l);
         for a in 0..l {
@@ -295,8 +298,8 @@ mod tests {
         assert_eq!(mrf.graph.num_edges(), 2);
         assert_eq!(mrf.num_labels, 2);
         // Unary of variable 0: ln(0.7), ln(0.3); variable 2 has none → 0.
-        assert!((mrf.unary[0][0] - 0.7f64.ln()).abs() < 1e-12);
-        assert_eq!(mrf.unary[2], vec![0.0, 0.0]);
+        assert!((mrf.unary_row(0)[0] - 0.7f64.ln()).abs() < 1e-12);
+        assert_eq!(mrf.unary_row(2), [0.0, 0.0]);
         // Potts bonus of factor (0,1): mean(ln 2) - mean(ln 1) = ln 2.
         let e01 = mrf
             .graph
@@ -318,10 +321,8 @@ mod tests {
         for (a, b) in back.pairwise.iter().zip(original.pairwise.iter()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
-        for (a, b) in back.unary.iter().zip(original.unary.iter()) {
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert!((x - y).abs() < 1e-9);
-            }
+        for (x, y) in back.unary.iter().zip(original.unary.iter()) {
+            assert!((x - y).abs() < 1e-9);
         }
     }
 
@@ -358,6 +359,6 @@ mod tests {
         // has its own correctness tests).
         let mrf = parse_uai(Cursor::new(TINY)).unwrap();
         // mrf has an isolated vertex? No: edges (0,1),(1,2) connect all 3.
-        assert_eq!(mrf.unary.len(), 3);
+        assert_eq!(mrf.unary.len(), 3 * mrf.num_labels);
     }
 }

@@ -134,7 +134,11 @@ fn mrfs_exact_edges() {
         let at = format!("seed {seed}, case {case}");
         assert_eq!(mrf.graph.num_edges(), nedges, "{at}");
         assert!(is_connected(&mrf.graph), "{at}");
-        assert_eq!(mrf.unary.len(), mrf.graph.num_vertices(), "{at}");
+        assert_eq!(
+            mrf.unary.len(),
+            mrf.graph.num_vertices() * mrf.num_labels,
+            "{at}"
+        );
     }
 }
 
@@ -148,8 +152,8 @@ fn grid_mrf_priors_normalized() {
         let side = rng.gen_range(2..20);
         let labels = rng.gen_range(2..5);
         let mrf = GridMrf::generate(side, labels, rng.gen_range(0..10_000));
-        for p in &mrf.priors {
-            assert_eq!(p.len(), labels, "{at}");
+        assert_eq!(mrf.priors.len(), side * side * labels, "{at}");
+        for p in mrf.priors.chunks(labels) {
             let max = p.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             assert!(max.abs() < 1e-9, "{at}: prior max {max} not normalized");
         }

@@ -1,9 +1,10 @@
 //! Shared, possibly memory-mapped slice storage for graph topology arrays.
 //!
 //! [`SharedSlice`] is the storage type behind every CSR array in a
-//! [`crate::Graph`]: an immutable `[T]` that is either *owned* (an
-//! `Arc<[T]>`, the result of a normal build) or *mapped* (a raw pointer into
-//! a memory region kept alive by an opaque keeper object, the result of a
+//! [`crate::Graph`] and every workload data column: an immutable `[T]`
+//! that is either *owned* (the `Vec` of a normal build, moved into an
+//! `Arc` without copying its elements) or *mapped* (a raw pointer into a
+//! memory region kept alive by an opaque keeper object, the result of a
 //! zero-copy load from `graphmine-store`). Both variants share one API —
 //! `Deref<Target = [T]>` — so the engine and every algorithm are oblivious
 //! to where the bytes live. Clones are cheap for both variants (an `Arc`
@@ -21,43 +22,48 @@ use std::sync::Arc;
 /// is alive, the mapping (or owned buffer) it points into stays valid.
 pub type SliceKeeper = Arc<dyn Any + Send + Sync>;
 
-enum Repr<T> {
+/// What keeps the elements of a [`SharedSlice`] alive.
+enum Keeper<T> {
     /// Heap-owned storage; produced by builds and deserialization.
-    Owned(Arc<[T]>),
-    /// Borrowed storage inside a region owned by `keep` (typically an mmap).
-    Mapped {
-        ptr: *const T,
-        len: usize,
-        keep: SliceKeeper,
-    },
+    Owned(Arc<Vec<T>>),
+    /// A region owned by an opaque keeper (typically an mmap).
+    Mapped(SliceKeeper),
 }
 
-/// An immutable shared slice: owned (`Arc<[T]>`) or borrowed from a mapped
-/// region. Dereferences to `[T]`; clones are O(1).
+/// An immutable shared slice: owned (an `Arc`-held `Vec`) or borrowed
+/// from a mapped region. Dereferences to `[T]`; clones are O(1).
 pub struct SharedSlice<T> {
-    repr: Repr<T>,
+    /// First element: of the `Vec`'s buffer, or inside the mapped region.
+    ptr: *const T,
+    len: usize,
+    keep: Keeper<T>,
 }
 
-// SAFETY: the slice is immutable for its whole lifetime. The Owned variant
-// is an `Arc<[T]>` (Send + Sync when T is). The Mapped variant points into
-// a region owned by `keep: Arc<dyn Any + Send + Sync>`, which outlives every
-// clone of the slice, and no `&mut` access is ever handed out.
+// SAFETY: the slice is immutable for its whole lifetime. `ptr..ptr + len`
+// lies in memory owned by `keep`, which every clone holds: an
+// `Arc<Vec<T>>` (Send + Sync when T is) whose buffer is never mutated or
+// reallocated once wrapped, or an `Arc<dyn Any + Send + Sync>` owning the
+// mapped region. No `&mut` access is ever handed out.
 unsafe impl<T: Send + Sync> Send for SharedSlice<T> {}
 unsafe impl<T: Send + Sync> Sync for SharedSlice<T> {}
 
 impl<T> SharedSlice<T> {
-    /// Wrap an owned vector. No copy beyond the `Arc<[T]>` conversion.
-    pub fn from_vec(v: Vec<T>) -> SharedSlice<T> {
+    /// Wrap an owned vector. The elements are not copied: the `Vec` moves
+    /// into an `Arc`, keeping its buffer, after dropping any spare
+    /// capacity.
+    pub fn from_vec(mut v: Vec<T>) -> SharedSlice<T> {
+        v.shrink_to_fit();
+        let v = Arc::new(v);
         SharedSlice {
-            repr: Repr::Owned(Arc::from(v)),
+            ptr: v.as_ptr(),
+            len: v.len(),
+            keep: Keeper::Owned(v),
         }
     }
 
     /// Wrap an owned boxed slice.
     pub fn from_boxed(b: Box<[T]>) -> SharedSlice<T> {
-        SharedSlice {
-            repr: Repr::Owned(Arc::from(b)),
-        }
+        SharedSlice::from_vec(b.into_vec())
     }
 
     /// Borrow `len` elements starting at `ptr` from a region owned by
@@ -74,27 +80,26 @@ impl<T> SharedSlice<T> {
     ///   region (plain-old-data such as `u32`/`u64`/`f64`).
     pub unsafe fn from_raw(ptr: *const T, len: usize, keep: SliceKeeper) -> SharedSlice<T> {
         SharedSlice {
-            repr: Repr::Mapped { ptr, len, keep },
+            ptr,
+            len,
+            keep: Keeper::Mapped(keep),
         }
     }
 
     /// The contents as a plain slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        match &self.repr {
-            Repr::Owned(a) => a,
-            Repr::Mapped { ptr, len, .. } => {
-                // SAFETY: upheld by the `from_raw` contract.
-                unsafe { std::slice::from_raw_parts(*ptr, *len) }
-            }
-        }
+        // SAFETY: `ptr..ptr + len` is the buffer of the `Vec` that `keep`
+        // owns (`from_vec`), or upheld by the `from_raw` contract; either
+        // way `keep` lives as long as `self`.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
     /// Whether this slice borrows from a mapped region (true) or owns its
     /// storage on the heap (false).
     #[inline]
     pub fn is_mapped(&self) -> bool {
-        matches!(self.repr, Repr::Mapped { .. })
+        matches!(self.keep, Keeper::Mapped(_))
     }
 
     /// Heap bytes charged to this slice: the full payload for owned
@@ -102,9 +107,9 @@ impl<T> SharedSlice<T> {
     /// reclaims them under pressure).
     #[inline]
     pub fn heap_bytes(&self) -> u64 {
-        match &self.repr {
-            Repr::Owned(a) => (a.len() * std::mem::size_of::<T>()) as u64,
-            Repr::Mapped { .. } => 0,
+        match self.keep {
+            Keeper::Owned(_) => (self.len * std::mem::size_of::<T>()) as u64,
+            Keeper::Mapped(_) => 0,
         }
     }
 }
@@ -120,15 +125,15 @@ impl<T> Deref for SharedSlice<T> {
 
 impl<T> Clone for SharedSlice<T> {
     fn clone(&self) -> SharedSlice<T> {
-        let repr = match &self.repr {
-            Repr::Owned(a) => Repr::Owned(Arc::clone(a)),
-            Repr::Mapped { ptr, len, keep } => Repr::Mapped {
-                ptr: *ptr,
-                len: *len,
-                keep: Arc::clone(keep),
-            },
+        let keep = match &self.keep {
+            Keeper::Owned(v) => Keeper::Owned(Arc::clone(v)),
+            Keeper::Mapped(k) => Keeper::Mapped(Arc::clone(k)),
         };
-        SharedSlice { repr }
+        SharedSlice {
+            ptr: self.ptr,
+            len: self.len,
+            keep,
+        }
     }
 }
 
@@ -182,6 +187,17 @@ mod tests {
         assert_eq!(s.heap_bytes(), 12);
         let t = s.clone();
         assert_eq!(&*t, &[1, 2, 3]);
+        assert_eq!(t.as_ptr(), s.as_ptr());
+    }
+
+    #[test]
+    fn from_vec_moves_the_buffer_instead_of_copying_it() {
+        let v = vec![4u64; 1000];
+        let buffer = v.as_ptr();
+        let s = SharedSlice::from_vec(v);
+        assert_eq!(s.as_ptr(), buffer);
+        assert_eq!(s.heap_bytes(), 8000);
+        assert!(SharedSlice::from_vec(Vec::<u64>::with_capacity(8)).is_empty());
     }
 
     #[test]

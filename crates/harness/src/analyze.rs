@@ -9,7 +9,6 @@
 use graphmine_algos::{run_algorithm, AlgorithmKind, SuiteConfig, Workload};
 use graphmine_core::{normalize_behaviors, RawBehavior, RunDb, RuntimeModel, WorkMetric};
 use graphmine_engine::ExecutionConfig;
-use graphmine_gen::gaussian_points;
 use graphmine_graph::{
     degree_assortativity, estimate_powerlaw_alpha, global_clustering_coefficient, parse_edge_list,
     DegreeStats, Graph,
@@ -64,12 +63,7 @@ pub fn analyze_graph(
     db: Option<&RunDb>,
     max_iterations: usize,
 ) -> String {
-    let points = gaussian_points(graph.num_vertices(), 0xA11CE);
-    let workload = Workload::PowerLaw {
-        graph: graph.clone(),
-        weights: weights.to_vec(),
-        points,
-    };
+    let workload = Workload::weighted(graph.clone(), weights.to_vec(), 0xA11CE);
     let config = SuiteConfig {
         exec: ExecutionConfig::with_max_iterations(max_iterations),
         ..SuiteConfig::default()

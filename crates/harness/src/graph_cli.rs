@@ -10,7 +10,6 @@
 
 use graphmine_algos::Workload;
 use graphmine_engine::IoShim;
-use graphmine_gen::gaussian_points;
 use graphmine_graph::{parse_edge_list, Representation};
 use graphmine_store::{
     infer_vertex_count, pack_workload, scrub_catalog, Catalog, ElemType, ScrubOutcome, StoredGraph,
@@ -115,12 +114,7 @@ fn build_workload(args: &PackArgs) -> Result<(Workload, String), String> {
             File::open(input).map_err(|e| format!("cannot open {}: {e}", input.display()))?;
         let (graph, weights) = parse_edge_list(BufReader::new(file), num_vertices, args.directed)
             .map_err(|e| format!("{}: {e}", input.display()))?;
-        let points = gaussian_points(graph.num_vertices(), args.seed);
-        let workload = Workload::PowerLaw {
-            graph,
-            weights,
-            points,
-        };
+        let workload = Workload::weighted(graph, weights, args.seed);
         return Ok((workload, format!("edgelist:{}", input.display())));
     }
     let workload = match args.class.as_str() {

@@ -213,7 +213,7 @@ pub fn workload_resident_bytes(workload: &Workload) -> u64 {
     let e = graph.num_edges() as u64;
     let topology = graph.topology_heap_bytes();
     let payload = match workload {
-        // Per-edge f64 weights + per-vertex [f64; 2] points.
+        // Per-edge f64 weights + per-vertex x and y point coordinates.
         Workload::PowerLaw { .. } => e * 8 + v * 16,
         // Per-edge f64 ratings.
         Workload::Ratings(_) => e * 8,

@@ -277,21 +277,16 @@ impl StoredGraph {
         Graph::from_parts(parts).map_err(StoreError::Corrupt)
     }
 
-    /// Copy an `f64` data column out of the file (columns are small
-    /// relative to topology; only the CSR arrays stay zero-copy).
-    pub fn column_f64(&self, name: &str) -> Result<Vec<f64>, StoreError> {
+    /// An `f64` data column as a zero-copy [`SharedSlice`] view into the
+    /// mapping, like the CSR arrays [`StoredGraph::load_graph`] returns.
+    pub fn column_f64(&self, name: &str) -> Result<SharedSlice<f64>, StoreError> {
         let entry = self.required(name)?;
         if entry.elem != ElemType::F64 {
             return Err(StoreError::Corrupt(format!(
                 "section `{name}` is not an f64 column"
             )));
         }
-        let bytes = self.section_payload(entry);
-        let mut out = Vec::with_capacity(bytes.len() / 8);
-        for chunk in bytes.chunks_exact(8) {
-            out.push(f64::from_ne_bytes(chunk.try_into().expect("8 bytes")));
-        }
-        Ok(out)
+        self.typed_slice::<f64>(entry)
     }
 
     fn required(&self, name: &str) -> Result<&SectionEntry, StoreError> {

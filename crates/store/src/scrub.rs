@@ -24,7 +24,6 @@ use crate::workload::pack_workload_with;
 use crate::StoreError;
 use graphmine_algos::Workload;
 use graphmine_engine::IoShim;
-use graphmine_gen::gaussian_points;
 use graphmine_graph::parse_edge_list;
 use std::fs::{self, File};
 use std::io::BufReader;
@@ -216,12 +215,7 @@ fn repack_from_edge_list(
     let (graph, weights) =
         parse_edge_list(BufReader::new(File::open(src)?), num_vertices, directed)
             .map_err(|e| StoreError::Corrupt(format!("edge list: {e}")))?;
-    let points = gaussian_points(graph.num_vertices(), seed);
-    let workload = Workload::PowerLaw {
-        graph,
-        weights,
-        points,
-    };
+    let workload = Workload::weighted(graph, weights, seed);
     let staging = catalog
         .dir()
         .join(format!(".scrub-{name}.tmp-{}", std::process::id()));
@@ -312,12 +306,7 @@ mod tests {
         fs::write(&edges, b"0 1\n1 2\n2 3 0.5\n0 3\n").unwrap();
         let (graph, weights) =
             parse_edge_list(BufReader::new(File::open(&edges).unwrap()), 4, false).unwrap();
-        let points = gaussian_points(4, 9);
-        let w = Workload::PowerLaw {
-            graph,
-            weights,
-            points,
-        };
+        let w = Workload::weighted(graph, weights, 9);
         let path = catalog.dir().join("g.gmg");
         let fp = pack_workload(&path, &w, &format!("edgelist:{}", edges.display()), 9).unwrap();
         flip_payload_byte(&path);

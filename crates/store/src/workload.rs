@@ -1,13 +1,15 @@
 //! Packing and loading whole [`Workload`]s, and edge-list ingest finalize.
 //!
 //! A store file holds more than topology: each workload class carries data
-//! columns (`c:`-prefixed sections) — edge weights and k-means points for
-//! the power-law class, ratings for collaborative filtering, the matrix
-//! diagonal/rhs for Jacobi, flattened label potentials for the MRF
-//! classes. [`pack_workload`] writes everything an algorithm run needs;
-//! [`load_workload`] reconstructs the exact same `Workload` with the
-//! topology mapped zero-copy, so a stored-vs-generated pair produces
-//! bit-identical run traces.
+//! columns (`c:`-prefixed sections) — edge weights and k-means point
+//! coordinates for the power-law class, ratings for collaborative
+//! filtering, the matrix entries for Jacobi, vertex-major label potentials
+//! for the MRF classes. Every workload column is a
+//! [`graphmine_graph::SharedSlice<f64>`] laid out exactly as its section,
+//! so [`pack_workload`] writes each one straight from the workload and
+//! [`load_workload`] maps each one, topology and columns alike, without
+//! copying: a loaded workload owns no column bytes, and a stored-vs-
+//! generated pair produces bit-identical run traces.
 
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::format::{
@@ -19,8 +21,8 @@ use crate::writer::{write_graph_store_with, SectionData};
 use crate::StoreError;
 use graphmine_algos::Workload;
 use graphmine_engine::IoShim;
-use graphmine_gen::{gaussian_points, GridMrf, MatrixSystem, MrfGraph, RatingGraph};
-use graphmine_graph::{parse_edge_list, Graph, GraphBuilder};
+use graphmine_gen::{GridMrf, MatrixSystem, MrfGraph, RatingGraph};
+use graphmine_graph::{parse_edge_list, Graph, GraphBuilder, SharedSlice};
 use std::borrow::Cow;
 use std::fs::{self, File};
 use std::io::{BufRead, BufReader};
@@ -72,28 +74,6 @@ pub fn class_name(code: u32) -> &'static str {
     }
 }
 
-fn flatten(rows: &[Vec<f64>], width: usize) -> Result<Vec<f64>, StoreError> {
-    let mut out = Vec::with_capacity(rows.len() * width);
-    for row in rows {
-        if row.len() != width {
-            return Err(StoreError::Corrupt(format!(
-                "ragged label rows: expected width {width}, found {}",
-                row.len()
-            )));
-        }
-        out.extend_from_slice(row);
-    }
-    Ok(out)
-}
-
-fn owned_col(name: &str, values: Vec<f64>) -> SectionData<'static> {
-    SectionData {
-        name: name.to_string(),
-        elem: ElemType::F64,
-        bytes: Cow::Owned(f64_bytes(&values).to_vec()),
-    }
-}
-
 fn borrowed_col<'a>(name: &str, values: &'a [f64]) -> SectionData<'a> {
     SectionData {
         name: name.to_string(),
@@ -135,16 +115,12 @@ pub fn pack_workload_with(
     };
     let columns: Vec<SectionData<'_>> = match workload {
         Workload::PowerLaw {
-            weights, points, ..
-        } => {
-            let px: Vec<f64> = points.iter().map(|p| p[0]).collect();
-            let py: Vec<f64> = points.iter().map(|p| p[1]).collect();
-            vec![
-                borrowed_col(COL_WEIGHTS, weights),
-                owned_col(COL_PX, px),
-                owned_col(COL_PY, py),
-            ]
-        }
+            weights, px, py, ..
+        } => vec![
+            borrowed_col(COL_WEIGHTS, weights),
+            borrowed_col(COL_PX, px),
+            borrowed_col(COL_PY, py),
+        ],
         Workload::Ratings(rg) => {
             meta.num_users = rg.num_users;
             vec![borrowed_col(COL_RATINGS, &rg.ratings)]
@@ -158,15 +134,12 @@ pub fn pack_workload_with(
             meta.side = grid.side;
             meta.num_labels = grid.num_labels;
             meta.smoothing = grid.smoothing;
-            vec![owned_col(
-                COL_PRIORS,
-                flatten(&grid.priors, grid.num_labels)?,
-            )]
+            vec![borrowed_col(COL_PRIORS, &grid.priors)]
         }
         Workload::Mrf(mrf) => {
             meta.num_labels = mrf.num_labels;
             vec![
-                owned_col(COL_UNARY, flatten(&mrf.unary, mrf.num_labels)?),
+                borrowed_col(COL_UNARY, &mrf.unary),
                 borrowed_col(COL_PAIRWISE, &mrf.pairwise),
             ]
         }
@@ -174,7 +147,11 @@ pub fn pack_workload_with(
     write_graph_store_with(path, workload.graph(), &meta, code, columns, shim)
 }
 
-fn column_exact(stored: &StoredGraph, name: &str, expected: usize) -> Result<Vec<f64>, StoreError> {
+fn column_exact(
+    stored: &StoredGraph,
+    name: &str,
+    expected: usize,
+) -> Result<SharedSlice<f64>, StoreError> {
     let values = stored.column_f64(name)?;
     if values.len() != expected {
         return Err(StoreError::Corrupt(format!(
@@ -185,13 +162,11 @@ fn column_exact(stored: &StoredGraph, name: &str, expected: usize) -> Result<Vec
     Ok(values)
 }
 
-fn unflatten(flat: Vec<f64>, width: usize) -> Vec<Vec<f64>> {
-    flat.chunks(width).map(|c| c.to_vec()).collect()
-}
-
-/// Reconstruct the workload stored in `stored`. The topology is loaded
-/// zero-copy (mmap-backed [`graphmine_graph::SharedSlice`] views); data
-/// columns are small relative to topology and are copied into `Vec`s.
+/// Reconstruct the workload stored in `stored`. The topology and every
+/// data column are loaded zero-copy: each is a
+/// [`graphmine_graph::SharedSlice`] view into the file's mapping (a heap
+/// copy only where the platform cannot map, or a section is misaligned),
+/// and the workload keeps the mapping alive.
 pub fn load_workload(stored: &StoredGraph) -> Result<Workload, StoreError> {
     let graph = stored.load_graph()?;
     workload_from_graph(stored, graph)
@@ -264,17 +239,12 @@ fn workload_from_graph(stored: &StoredGraph, graph: Graph) -> Result<Workload, S
     let m = graph.num_edges();
     let meta = stored.meta();
     match meta.class.as_str() {
-        "powerlaw" => {
-            let weights = column_exact(stored, COL_WEIGHTS, m)?;
-            let px = column_exact(stored, COL_PX, n)?;
-            let py = column_exact(stored, COL_PY, n)?;
-            let points = px.iter().zip(&py).map(|(&x, &y)| [x, y]).collect();
-            Ok(Workload::PowerLaw {
-                graph,
-                weights,
-                points,
-            })
-        }
+        "powerlaw" => Ok(Workload::PowerLaw {
+            weights: column_exact(stored, COL_WEIGHTS, m)?,
+            px: column_exact(stored, COL_PX, n)?,
+            py: column_exact(stored, COL_PY, n)?,
+            graph,
+        }),
         "ratings" => {
             if meta.num_users > n {
                 return Err(StoreError::Corrupt(format!(
@@ -302,11 +272,10 @@ fn workload_from_graph(stored: &StoredGraph, graph: Graph) -> Result<Workload, S
                     meta.side
                 )));
             }
-            let priors = column_exact(stored, COL_PRIORS, n * labels)?;
             Ok(Workload::Grid(GridMrf {
                 side: meta.side,
                 num_labels: labels,
-                priors: unflatten(priors, labels),
+                priors: column_exact(stored, COL_PRIORS, n * labels)?,
                 smoothing: meta.smoothing,
                 graph,
             }))
@@ -316,9 +285,8 @@ fn workload_from_graph(stored: &StoredGraph, graph: Graph) -> Result<Workload, S
             if labels == 0 {
                 return Err(StoreError::Corrupt("mrf meta has zero labels".to_string()));
             }
-            let unary = column_exact(stored, COL_UNARY, n * labels)?;
             Ok(Workload::Mrf(MrfGraph {
-                unary: unflatten(unary, labels),
+                unary: column_exact(stored, COL_UNARY, n * labels)?,
                 pairwise: column_exact(stored, COL_PAIRWISE, m)?,
                 num_labels: labels,
                 graph,
@@ -383,12 +351,7 @@ pub fn finalize_ingest_with(
         config.directed,
     )
     .map_err(|e| StoreError::Corrupt(format!("edge list: {e}")))?;
-    let points = gaussian_points(graph.num_vertices(), config.seed);
-    let workload = Workload::PowerLaw {
-        graph,
-        weights,
-        points,
-    };
+    let workload = Workload::weighted(graph, weights, config.seed);
     // Pack into a temp sibling inside the catalog dir, deep-verify, then
     // install via rename: the catalog never exposes an unverified file.
     let staging = catalog.dir().join(format!(
@@ -442,12 +405,14 @@ mod tests {
             Workload::PowerLaw {
                 graph: ga,
                 weights: wa,
-                points: pa,
+                px: xa,
+                py: ya,
             },
             Workload::PowerLaw {
                 graph: gb,
                 weights: wb,
-                points: pb,
+                px: xb,
+                py: yb,
             },
         ) = (&w, &loaded)
         else {
@@ -456,7 +421,7 @@ mod tests {
         assert_eq!(ga.edge_list(), gb.edge_list());
         assert_eq!(ga.num_vertices(), gb.num_vertices());
         assert_eq!(wa, wb);
-        assert_eq!(pa, pb);
+        assert_eq!((xa, ya), (xb, yb));
         assert!(gb.validate().is_ok());
     }
 
